@@ -10,15 +10,13 @@ from hirivit.blocks import (Attention, ClassifierHead, ConvFFNBlock,
                             DownsampleA, DownsampleB, HighResBlock,
                             HighResStem, TransformerBlock)
 from hirivit.engine import Tensor, grad_check, ops
-from hirivit.params import ParamTree, init_tree
+from hirivit.params import init_tree
 
 rng = np.random.default_rng(0)
 
 
 def tree_of(block, seed=0):
-    tree = ParamTree()
-    for path, t, trainable in block.named_entries():
-        tree.add(path, t, trainable)
+    tree = block.param_tree()
     init_tree(tree, seed)
     return tree
 

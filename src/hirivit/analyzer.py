@@ -1,14 +1,20 @@
 """Static, data-free parameter and FLOP accounting.
 
-Conventions (fixed for this package):
-  * ``macs``  -- multiply-accumulates of conv / linear / attention matmuls;
-                 bias additions are not MACs.
-  * ``elementwise`` -- one op per output element of every normalization,
-                 activation, residual add, pooling, upsampling, and softmax.
+Costs come from :meth:`hirivit.blocks.Module.trace`, which runs the model's
+own ``forward`` on a shape-only input and charges every op result to the
+innermost module call. Conventions (fixed for this package):
+  * ``macs``  -- multiply-accumulates of conv2d / linear / matmul, the two
+                 attention contractions included: output elements times the
+                 contraction length (Cin/groups x kh x kw for a conv); bias
+                 additions are not MACs.
+  * ``elementwise`` -- one op per output element of every other op
+                 (normalization, activation, residual add, pooling,
+                 upsampling, softmax); reshape, transpose and scale are free.
   * ``flops`` -- macs + elementwise. This matches the mac-denominated
                  "GFLOPs" figures customarily reported for vision backbones
                  (the elementwise share is about one percent).
-  * ``activations`` -- total output elements, an activation-memory proxy.
+  * ``activations`` -- one per output element of every non-free op, an
+                 activation-memory proxy.
 
 The loop-instrumented :func:`mac_counting_oracle` executes a block with
 scalar kernels that increment a counter per multiply-accumulate; on any

@@ -1,22 +1,22 @@
 """Building blocks: stems, high-resolution blocks, downsamplers, attention.
 
-Every module supports three consistent views of the same structure:
+Each module states its structure once, in ``forward(x)``. Two views derive
+from it:
 
-* ``forward(x)``       -- runs the math on Tensors,
-* ``trace(shape, rec)``-- shape inference plus static cost accounting
-                          (multiply-accumulates and elementwise op counts),
-* parameter registry   -- named tensors collected into a ParamTree.
-
-``trace`` must mirror ``forward`` exactly; the analyzer's loop-executed MAC
-oracle checks that they agree.
+* ``trace(shape, rec)`` -- shape inference plus static cost accounting
+  (multiply-accumulates and elementwise op counts), obtained by running
+  ``forward`` on a shape-only input (see :meth:`Module.trace`);
+* the parameter registry -- named tensors collected into a ParamTree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import Tensor, ops
+from .engine import Tensor, no_grad, ops
+from .engine.tensor import observe_results
 from .errors import ConfigError, ResolutionError, ShapeError
+from .params import ParamTree
 
 
 class CostRecorder:
@@ -24,13 +24,63 @@ class CostRecorder:
 
     def __init__(self):
         self.records = []          # (path, params, macs, elementwise, activations)
+        self.shapes = {}           # path -> output shape of each module call
 
     def add(self, path, params=0, macs=0, elementwise=0, activations=0):
         self.records.append((path, int(params), int(macs), int(elementwise),
                              int(activations)))
 
 
-_NULL_REC = CostRecorder()
+# ops that only re-view their input cost nothing; attention's two
+# contractions keep their established record names
+_FREE_OPS = frozenset({"reshape", "transpose", "scale"})
+_RECORD_NAMES = {"matmul": "qk", "ordered_matmul": "av"}
+
+_cost_pass = None                  # the _CostPass running, if any
+
+
+class _CostPass:
+    """Charges every op result of a trace to the innermost module call.
+
+    A leaf module (no children) gets one record at its own path; an op run
+    directly by a composite module gets a record ``<path>.<op>``.
+    """
+
+    def __init__(self, rec: CostRecorder, paths: dict):
+        self.rec, self.paths = rec, paths
+        self.backend = ops.ShapeBackend()
+        self.frames = []           # (path, [params, macs, elementwise, activations], leaf)
+
+    def call(self, module, x):
+        path = self.paths[id(module)]
+        cost = [module.own_param_count(), 0, 0, 0]
+        self.frames.append((path, cost, not module._children))
+        try:
+            out = module.forward(x)
+        except (ShapeError, ResolutionError) as exc:
+            if path and not hasattr(exc, "path"):     # name the innermost module
+                exc.path = path
+                exc.args = (f"{path}: {exc}",)
+            raise
+        finally:
+            self.frames.pop()
+        if any(cost):
+            self.rec.add(path, *cost)
+        self.rec.shapes[path] = out.shape
+        return out
+
+    def on_result(self, out):
+        # contractions report MACs through the backend; every other op costs
+        # one elementwise op per output element
+        macs, self.backend.macs = self.backend.macs, 0
+        if out.op in _FREE_OPS:
+            return
+        path, cost, leaf = self.frames[-1]
+        op_cost = (0, macs, 0 if macs else out.size, out.size)
+        if leaf:
+            cost[:] = [a + b for a, b in zip(cost, op_cost)]
+        else:
+            self.rec.add(f"{path}.{_RECORD_NAMES.get(out.op, out.op)}", *op_cost)
 
 
 class Module:
@@ -67,6 +117,18 @@ class Module:
         for name, child in self._children.items():
             yield from child.named_entries(f"{prefix}{name}.")
 
+    def named_modules(self, path: str = ""):
+        """(dotted path, module) for this module and every descendant."""
+        yield path, self
+        for name, child in self._children.items():
+            yield from child.named_modules(f"{path}.{name}" if path else name)
+
+    def param_tree(self) -> ParamTree:
+        tree = ParamTree()
+        for path, tensor, trainable in self.named_entries():
+            tree.add(path, tensor, trainable)
+        return tree
+
     def param_count(self) -> int:
         return sum(p.size for _, p, trainable in self.named_entries() if trainable)
 
@@ -88,10 +150,33 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
+        if _cost_pass is None:
+            return self.forward(x)
+        return _cost_pass.call(self, x)
 
     def trace(self, in_shape, rec: CostRecorder, path: str = ""):
-        raise NotImplementedError
+        """Cost records and output shape of ``forward`` on an input shape.
+
+        Runs ``forward`` in eval mode without a tape on a zero-stride input,
+        with :class:`~hirivit.engine.ops.ShapeBackend` standing in for the
+        conv/linear/matmul kernels, so forward's own shape checks apply.
+        Every module's ``training`` flag is restored afterwards.
+        """
+        global _cost_pass
+        named = list(self.named_modules(path))
+        modes = [m.training for _, m in named]
+        cost = _CostPass(rec, {id(m): p for p, m in named})
+        outer, _cost_pass = _cost_pass, cost
+        try:
+            self.eval()
+            with no_grad(), ops.use_backend(cost.backend), \
+                    observe_results(cost.on_result):
+                out = self(Tensor(np.broadcast_to(0.0, tuple(in_shape))))
+        finally:
+            _cost_pass = outer
+            for (_, m), mode in zip(named, modes):
+                m.training = mode
+        return out.shape
 
     def out_shape(self, in_shape):
         return self.trace(tuple(in_shape), CostRecorder())
@@ -120,19 +205,6 @@ class Conv2d(Module):
                           stride=self.stride, padding=self.padding,
                           groups=self.groups)
 
-    def trace(self, in_shape, rec, path=""):
-        n, c, h, w = in_shape
-        if c != self.cin:
-            raise ShapeError(f"{path}: expected {self.cin} channels, got {c}")
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        if oh < 1 or ow < 1:
-            raise ResolutionError(f"{path}: {h}x{w} underflows through conv")
-        macs = n * self.cout * oh * ow * (self.cin // self.groups) * self.kernel ** 2
-        acts = n * self.cout * oh * ow
-        rec.add(path, params=self.own_param_count(), macs=macs, activations=acts)
-        return (n, self.cout, oh, ow)
-
 
 class Linear(Module):
     def __init__(self, din, dout, bias=True):
@@ -143,15 +215,6 @@ class Linear(Module):
 
     def forward(self, x):
         return ops.linear(x, self.weight, self.bias)
-
-    def trace(self, in_shape, rec, path=""):
-        if in_shape[-1] != self.din:
-            raise ShapeError(f"{path}: expected feature axis {self.din}, got {in_shape[-1]}")
-        tokens = int(np.prod(in_shape[:-1]))
-        rec.add(path, params=self.own_param_count(),
-                macs=tokens * self.din * self.dout,
-                activations=tokens * self.dout)
-        return in_shape[:-1] + (self.dout,)
 
 
 class BatchNorm2d(Module):
@@ -170,12 +233,6 @@ class BatchNorm2d(Module):
                               self.running_mean.data, self.running_var.data,
                               self.training, self.momentum, self.eps)
 
-    def trace(self, in_shape, rec, path=""):
-        elems = int(np.prod(in_shape))
-        rec.add(path, params=self.own_param_count(), elementwise=elems,
-                activations=elems)
-        return in_shape
-
 
 class LayerNorm2d(Module):
     """Per-position normalization over the channel axis of an NCHW map."""
@@ -191,12 +248,6 @@ class LayerNorm2d(Module):
         yt = ops.layer_norm(xt, self.gamma, self.beta, self.eps)
         return ops.transpose(yt, (0, 3, 1, 2))
 
-    def trace(self, in_shape, rec, path=""):
-        elems = int(np.prod(in_shape))
-        rec.add(path, params=self.own_param_count(), elementwise=elems,
-                activations=elems)
-        return in_shape
-
 
 class LayerNorm(Module):
     """Last-axis normalization for token tensors."""
@@ -209,12 +260,6 @@ class LayerNorm(Module):
 
     def forward(self, x):
         return ops.layer_norm(x, self.gamma, self.beta, self.eps)
-
-    def trace(self, in_shape, rec, path=""):
-        elems = int(np.prod(in_shape))
-        rec.add(path, params=self.own_param_count(), elementwise=elems,
-                activations=elems)
-        return in_shape
 
 
 def make_norm2d(kind: str, channels: int) -> Module:
@@ -229,11 +274,6 @@ class GELU(Module):
     def forward(self, x):
         return ops.gelu(x)
 
-    def trace(self, in_shape, rec, path=""):
-        elems = int(np.prod(in_shape))
-        rec.add(path, elementwise=elems, activations=elems)
-        return in_shape
-
 
 class AvgPoolHalve(Module):
     """Adaptive 2x spatial reduction (matches strided-conv ceil semantics)."""
@@ -241,12 +281,6 @@ class AvgPoolHalve(Module):
     def forward(self, x):
         n, c, h, w = x.shape
         return ops.adaptive_avg_pool2d(x, (-(-h // 2), -(-w // 2)))
-
-    def trace(self, in_shape, rec, path=""):
-        n, c, h, w = in_shape
-        oh, ow = -(-h // 2), -(-w // 2)
-        rec.add(path, elementwise=n * c * oh * ow, activations=n * c * oh * ow)
-        return (n, c, oh, ow)
 
 
 class AvgPoolTo(Module):
@@ -259,19 +293,10 @@ class AvgPoolTo(Module):
     def forward(self, x):
         return ops.adaptive_avg_pool2d(x, self.target_hw)
 
-    def trace(self, in_shape, rec, path=""):
-        n, c = in_shape[:2]
-        oh, ow = self.target_hw
-        rec.add(path, elementwise=n * c * oh * ow, activations=n * c * oh * ow)
-        return (n, c, oh, ow)
-
 
 class Identity(Module):
     def forward(self, x):
         return x
-
-    def trace(self, in_shape, rec, path=""):
-        return in_shape
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +341,6 @@ class HighResStem(Module):
         lo = self.lo_project(lo)
         return self.out_norm(ops.add(hi, lo))
 
-    def trace(self, in_shape, rec, path=""):
-        n, c, h, w = in_shape
-        if h % 4 or w % 4:
-            raise ResolutionError(f"{path}: stem input {h}x{w} not divisible by 4")
-        s = self.entry.trace(in_shape, rec, f"{path}.entry")
-        s = self.entry_norm.trace(s, rec, f"{path}.entry_norm")
-        s = self.entry_act.trace(s, rec, f"{path}.entry_act")
-        hi = self.hi_dw.trace(s, rec, f"{path}.hi_dw")
-        hi = self.hi_norm.trace(hi, rec, f"{path}.hi_norm")
-        hi = self.hi_act.trace(hi, rec, f"{path}.hi_act")
-        hi = self.hi_down.trace(hi, rec, f"{path}.hi_down")
-        lo = self.lo_down.trace(s, rec, f"{path}.lo_down")
-        lo = self.lo_norm1.trace(lo, rec, f"{path}.lo_norm1")
-        lo = self.lo_act1.trace(lo, rec, f"{path}.lo_act1")
-        lo = self.lo_expand.trace(lo, rec, f"{path}.lo_expand")
-        lo = self.lo_norm2.trace(lo, rec, f"{path}.lo_norm2")
-        lo = self.lo_act2.trace(lo, rec, f"{path}.lo_act2")
-        lo = self.lo_project.trace(lo, rec, f"{path}.lo_project")
-        rec.add(f"{path}.sum", elementwise=int(np.prod(hi)), activations=int(np.prod(hi)))
-        return self.out_norm.trace(hi, rec, f"{path}.out_norm")
-
 
 class HighResBlock(Module):
     """Shape-preserving two-branch block for the first two stages.
@@ -369,22 +373,6 @@ class HighResBlock(Module):
         lo = self.lo_fc2(self.lo_act(self.lo_fc1(lo)))
         lo = ops.upsample_repeat(lo, 2)
         return ops.add(ops.add(x, hi), lo)
-
-    def trace(self, in_shape, rec, path=""):
-        n, c, h, w = in_shape
-        if h % 2 or w % 2:
-            raise ResolutionError(f"{path}: odd spatial extent {h}x{w}")
-        s = self.pre_norm.trace(in_shape, rec, f"{path}.pre_norm")
-        self.hi_dw.trace(s, rec, f"{path}.hi_dw")
-        lo = self.lo_dw.trace(s, rec, f"{path}.lo_dw")
-        lo = self.lo_norm.trace(lo, rec, f"{path}.lo_norm")
-        lo = self.lo_fc1.trace(lo, rec, f"{path}.lo_fc1")
-        lo = self.lo_act.trace(lo, rec, f"{path}.lo_act")
-        lo = self.lo_fc2.trace(lo, rec, f"{path}.lo_fc2")
-        elems = int(np.prod(in_shape))
-        rec.add(f"{path}.upsample", elementwise=elems, activations=elems)
-        rec.add(f"{path}.sum", elementwise=2 * elems, activations=elems)
-        return in_shape
 
 
 def _resolve_resize(in_grid: int | None, out_grid: int | None):
@@ -436,19 +424,6 @@ class DownsampleA(Module):
         s = self.sc_project(self.sc_pool(x))
         return ops.add(y, s)
 
-    def trace(self, in_shape, rec, path=""):
-        y = self.pre_pool.trace(in_shape, rec, f"{path}.pre_pool")
-        y = self.reduce.trace(y, rec, f"{path}.reduce")
-        y = self.norm1.trace(y, rec, f"{path}.norm1")
-        y = self.act1.trace(y, rec, f"{path}.act1")
-        y = self.project.trace(y, rec, f"{path}.project")
-        y = self.norm2.trace(y, rec, f"{path}.norm2")
-        y = self.act2.trace(y, rec, f"{path}.act2")
-        s = self.sc_pool.trace(in_shape, rec, f"{path}.sc_pool")
-        self.sc_project.trace(s, rec, f"{path}.sc_project")
-        rec.add(f"{path}.sum", elementwise=int(np.prod(y)), activations=int(np.prod(y)))
-        return y
-
 
 class DownsampleB(Module):
     """Inverted-residual downsampler for the low-resolution stages.
@@ -484,18 +459,6 @@ class DownsampleB(Module):
         s = self.sc_project(self.sc_pool(x))
         return ops.add(y, s)
 
-    def trace(self, in_shape, rec, path=""):
-        y = self.pre_pool.trace(in_shape, rec, f"{path}.pre_pool")
-        y = self.expand.trace(y, rec, f"{path}.expand")
-        y = self.norm1.trace(y, rec, f"{path}.norm1")
-        y = self.act1.trace(y, rec, f"{path}.act1")
-        y = self.dw.trace(y, rec, f"{path}.dw")
-        y = self.project.trace(y, rec, f"{path}.project")
-        s = self.sc_pool.trace(in_shape, rec, f"{path}.sc_pool")
-        self.sc_project.trace(s, rec, f"{path}.sc_project")
-        rec.add(f"{path}.sum", elementwise=int(np.prod(y)), activations=int(np.prod(y)))
-        return y
-
 
 class PlainDownsample(Module):
     """Single strided 3x3 conv with LN (the conventional between-stage merge)."""
@@ -507,10 +470,6 @@ class PlainDownsample(Module):
 
     def forward(self, x):
         return self.norm(self.conv(x))
-
-    def trace(self, in_shape, rec, path=""):
-        s = self.conv.trace(in_shape, rec, f"{path}.conv")
-        return self.norm.trace(s, rec, f"{path}.norm")
 
 
 class ConvFFNBlock(Module):
@@ -534,17 +493,6 @@ class ConvFFNBlock(Module):
         y = self.fc2(ops.add(self.dw(z), z))
         return ops.add(x, y)
 
-    def trace(self, in_shape, rec, path=""):
-        s = self.pre_norm.trace(in_shape, rec, f"{path}.pre_norm")
-        z = self.fc1.trace(s, rec, f"{path}.fc1")
-        z = self.act.trace(z, rec, f"{path}.act")
-        d = self.dw.trace(z, rec, f"{path}.dw")
-        rec.add(f"{path}.dw_sum", elementwise=int(np.prod(d)), activations=int(np.prod(d)))
-        self.fc2.trace(d, rec, f"{path}.fc2")
-        elems = int(np.prod(in_shape))
-        rec.add(f"{path}.residual", elementwise=elems, activations=elems)
-        return in_shape
-
 
 class FFNBlock(Module):
     """Residual position-wise feed-forward block (no depth-wise conv)."""
@@ -560,15 +508,6 @@ class FFNBlock(Module):
     def forward(self, x):
         y = self.fc2(self.act(self.fc1(self.pre_norm(x))))
         return ops.add(x, y)
-
-    def trace(self, in_shape, rec, path=""):
-        s = self.pre_norm.trace(in_shape, rec, f"{path}.pre_norm")
-        z = self.fc1.trace(s, rec, f"{path}.fc1")
-        z = self.act.trace(z, rec, f"{path}.act")
-        self.fc2.trace(z, rec, f"{path}.fc2")
-        elems = int(np.prod(in_shape))
-        rec.add(f"{path}.residual", elementwise=elems, activations=elems)
-        return in_shape
 
 
 class Attention(Module):
@@ -616,12 +555,21 @@ class Attention(Module):
         b, n, c = tokens.shape
         return ops.reshape(ops.transpose(tokens, (0, 2, 1)), (b, c, h, w))
 
+    def _attend(self, q, k, v):
+        """Softmax attention over split heads; merges heads and projects."""
+        b, _, n, _ = q.shape
+        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
+        attn = ops.softmax(scores, axis=-1)
+        out = ops.ordered_matmul(attn, v)
+        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, self.dim))
+        return self.proj(out)
+
     def forward_tokens(self, x, hw):
         """Attention over tokens (B, n, D); ``hw`` gives the 2D layout."""
         if self.kv_reduce == "conv":
             raise ConfigError(
                 "conv-style reduction operates on feature maps; call forward()")
-        b, n, d = x.shape
+        n = x.shape[1]
         h, w = hw
         if h * w != n:
             raise ShapeError(f"token count {n} does not match layout {h}x{w}")
@@ -636,17 +584,12 @@ class Attention(Module):
             k = self._split_heads(self._tokens(k_map), nk)
             v = self._split_heads(self._tokens(v_map), nk)
         else:
-            nk = n
             k = self._split_heads(k_full, n)
             v = self._split_heads(v_full, n)
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
-        attn = ops.softmax(scores, axis=-1)
-        out = ops.ordered_matmul(attn, v)
-        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, d))
-        return self.proj(out)
+        return self._attend(q, k, v)
 
     def forward(self, x):
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if self.kv_reduce == "conv":
             tokens = self._tokens(x)
             q = self._split_heads(self.q(tokens), h * w)
@@ -656,41 +599,10 @@ class Attention(Module):
             nk = hk * wk
             k = self._split_heads(self.k(red_tok), nk)
             v = self._split_heads(self.v(red_tok), nk)
-            scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
-            attn = ops.softmax(scores, axis=-1)
-            out = ops.ordered_matmul(attn, v)
-            out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, h * w, c))
-            out = self.proj(out)
+            out = self._attend(q, k, v)
         else:
             out = self.forward_tokens(self._tokens(x), (h, w))
         return self._maps(out, h, w)
-
-    def trace(self, in_shape, rec, path=""):
-        b, c, h, w = in_shape
-        n = h * w
-        self.q.trace((b, n, c), rec, f"{path}.q")
-        if self.kv_reduce == "conv":
-            rs = self.sr_conv.trace(in_shape, rec, f"{path}.sr_conv")
-            nk = rs[2] * rs[3]
-            self.sr_norm.trace((b, nk, c), rec, f"{path}.sr_norm")
-            self.k.trace((b, nk, c), rec, f"{path}.k")
-            self.v.trace((b, nk, c), rec, f"{path}.v")
-        elif self.kv_reduce == "pool":
-            hk, wk = h // self.sr_ratio, w // self.sr_ratio
-            nk = hk * wk
-            self.k.trace((b, n, c), rec, f"{path}.k")
-            self.v.trace((b, n, c), rec, f"{path}.v")
-            rec.add(f"{path}.kv_pool", elementwise=2 * b * nk * c,
-                    activations=2 * b * nk * c)
-        else:
-            nk = n
-            self.k.trace((b, n, c), rec, f"{path}.k")
-            self.v.trace((b, n, c), rec, f"{path}.v")
-        rec.add(f"{path}.qk", macs=b * n * nk * c, elementwise=b * self.heads * n * nk,
-                activations=b * self.heads * n * nk)
-        rec.add(f"{path}.av", macs=b * n * nk * c, activations=b * n * c)
-        self.proj.trace((b, n, c), rec, f"{path}.proj")
-        return in_shape
 
 
 class TransformerBlock(Module):
@@ -711,14 +623,6 @@ class TransformerBlock(Module):
         if self.with_attention:
             x = ops.add(x, self.attn(self.attn_norm(x)))
         return self.ffn(x)
-
-    def trace(self, in_shape, rec, path=""):
-        if self.with_attention:
-            s = self.attn_norm.trace(in_shape, rec, f"{path}.attn_norm")
-            self.attn.trace(s, rec, f"{path}.attn")
-            elems = int(np.prod(in_shape))
-            rec.add(f"{path}.attn_residual", elementwise=elems, activations=elems)
-        return self.ffn.trace(in_shape, rec, f"{path}.ffn")
 
 
 class ClassifierHead(Module):
@@ -754,15 +658,6 @@ class ClassifierHead(Module):
         y = self.fc(y)
         return ops.reshape(ops.transpose(y, (0, 2, 1)), (b, -1, h, w))
 
-    def trace(self, in_shape, rec, path=""):
-        b, c, h, w = in_shape
-        rec.add(f"{path}.pool", elementwise=b * c, activations=b * c)
-        s = (b, c)
-        if self.hidden:
-            s = self.pre.trace(s, rec, f"{path}.pre")
-            s = self.act.trace(s, rec, f"{path}.act")
-        return self.fc.trace(s, rec, f"{path}.fc")
-
 
 class ViTStem(Module):
     """Single large-kernel strided conv patchifier (stride 4, kernel 7)."""
@@ -774,10 +669,6 @@ class ViTStem(Module):
 
     def forward(self, x):
         return self.norm(self.proj(x))
-
-    def trace(self, in_shape, rec, path=""):
-        s = self.proj.trace(in_shape, rec, f"{path}.proj")
-        return self.norm.trace(s, rec, f"{path}.norm")
 
 
 class ConvStem(Module):
@@ -803,16 +694,3 @@ class ConvStem(Module):
         y = self.act2(self.norm2(self.conv2(y)))
         y = self.act3(self.norm3(self.conv3(y)))
         return self.norm4(self.conv4(y))
-
-    def trace(self, in_shape, rec, path=""):
-        s = self.conv1.trace(in_shape, rec, f"{path}.conv1")
-        s = self.norm1.trace(s, rec, f"{path}.norm1")
-        s = self.act1.trace(s, rec, f"{path}.act1")
-        s = self.conv2.trace(s, rec, f"{path}.conv2")
-        s = self.norm2.trace(s, rec, f"{path}.norm2")
-        s = self.act2.trace(s, rec, f"{path}.act2")
-        s = self.conv3.trace(s, rec, f"{path}.conv3")
-        s = self.norm3.trace(s, rec, f"{path}.norm3")
-        s = self.act3.trace(s, rec, f"{path}.act3")
-        s = self.conv4.trace(s, rec, f"{path}.conv4")
-        return self.norm4.trace(s, rec, f"{path}.norm4")

@@ -93,14 +93,6 @@ def _gradcheck_cases():
     }
 
 
-def _block_param_tree(block):
-    from .params import ParamTree
-    tree = ParamTree()
-    for path, tensor, trainable in block.named_entries():
-        tree.add(path, tensor, trainable)
-    return tree
-
-
 def check_block_gradients(name: str, tol: float = 1e-4, seed: int = 0):
     """Finite-difference check of one block; returns a GradCheckReport."""
     from .engine import Tensor, grad_check, ops
@@ -109,7 +101,7 @@ def check_block_gradients(name: str, tol: float = 1e-4, seed: int = 0):
     make, shape = _gradcheck_cases()[name]
     block = make()
     rng = np.random.default_rng(seed)
-    tree = _block_param_tree(block)
+    tree = block.param_tree()
     init_tree(tree, seed)
     # perturb affine identities so gradients are generic
     for path, t in tree.items():

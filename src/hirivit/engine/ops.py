@@ -7,7 +7,8 @@ Conventions
   attention-times-values product) sum in value-sorted order, which makes the
   forward pass bit-identical under any permutation of the reduced axis.
 * Forward kernels for conv/linear/matmul dispatch through a swappable
-  backend so an instrumented MAC-counting executor can drive the same graph.
+  backend so an instrumented MAC-counting executor, or the shape-only
+  executor of the cost analyzer, can drive the same graph.
 """
 
 from __future__ import annotations
@@ -44,6 +45,36 @@ class FastBackend:
 
     def conv2d(self, x, w, bias, stride, padding, groups):
         return _conv2d_fast(x, w, bias, stride, padding, groups)
+
+
+class ShapeBackend:
+    """Output shapes and MAC counts only: zero-stride results, no arithmetic.
+
+    ``macs`` accumulates over calls until the caller resets it.
+    """
+
+    counting = True
+
+    def __init__(self):
+        self.macs = 0
+
+    def _zeros(self, shape, contraction):
+        out = np.broadcast_to(0.0, shape)
+        self.macs += out.size * contraction
+        return out
+
+    def matmul(self, a, b):
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return self._zeros(lead + (a.shape[-2], b.shape[-1]), a.shape[-1])
+
+    def linear(self, x2, w, b):
+        return self._zeros((x2.shape[0], w.shape[0]), x2.shape[1])
+
+    def conv2d(self, x, w, bias, stride, padding, groups):
+        self.macs += conv2d_macs(x.shape, w.shape, stride, padding, groups)
+        oh, ow = _conv_out_hw(x.shape[2], x.shape[3], w.shape[2], w.shape[3],
+                              *stride, *padding)
+        return np.broadcast_to(0.0, (x.shape[0], w.shape[0], oh, ow))
 
 
 _backend = FastBackend()
@@ -102,15 +133,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_result(data, (a, b), "add", bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-
-    return make_result(data, (a, b), "sub", bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -148,18 +170,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         return (np.transpose(g, inv),)
 
     return make_result(data, (a,), "transpose", bw)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return make_result(data, tensors, "concat", bw)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -16,6 +16,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float64
 
 _grad_enabled = True
+_result_hook = None
 
 
 @contextlib.contextmanager
@@ -32,6 +33,18 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _grad_enabled
+
+
+@contextlib.contextmanager
+def observe_results(hook):
+    """Call ``hook(out)`` with every op result created inside the block."""
+    global _result_hook
+    prev = _result_hook
+    _result_hook = hook
+    try:
+        yield
+    finally:
+        _result_hook = prev
 
 
 class Tensor:
@@ -70,9 +83,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, op="detach")
-
     def zero_grad(self):
         self.grad = None
 
@@ -95,6 +105,8 @@ def make_result(data: np.ndarray, parents: Iterable[Tensor], op: str,
     if needs:
         out._parents = parents
         out._backward = backward
+    if _result_hook is not None:
+        _result_hook(out)
     return out
 
 

@@ -3,7 +3,7 @@ from .distill import (DistillTarget, distill_target, majority_downsample,
                       soft_cross_entropy, teacher_prob_map)
 from .ema import EmaState, ema_init, ema_update
 from .mixing import MixedSample, cutmix, mixup
-from .optim import AdamW, adamw_step, cosine_schedule
+from .optim import AdamW, cosine_schedule
 from .loop import StepRecord, TrainConfig, TrainingDiverged, train_loop
 
 __all__ = [
@@ -12,6 +12,6 @@ __all__ = [
     "DistillTarget", "distill_target", "majority_downsample",
     "soft_cross_entropy", "teacher_prob_map",
     "EmaState", "ema_init", "ema_update",
-    "AdamW", "adamw_step", "cosine_schedule",
+    "AdamW", "cosine_schedule",
     "TrainConfig", "StepRecord", "TrainingDiverged", "train_loop",
 ]

@@ -61,10 +61,3 @@ class AdamW:
             if self.weight_decay:
                 tensor.data -= lr * self.weight_decay * tensor.data
             tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adamw_step(params: ParamTree, optimizer: AdamW, lr: float):
-    """Functional wrapper: apply one AdamW update at the given LR."""
-    if optimizer.tree is not params:
-        raise ConfigError("optimizer was constructed for a different tree")
-    optimizer.step(lr)

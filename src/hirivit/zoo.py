@@ -44,12 +44,6 @@ class Stage(Module):
             x = b(x)
         return x
 
-    def trace(self, in_shape, rec, path=""):
-        s = in_shape
-        for i, b in enumerate(self.blocks, 1):
-            s = b.trace(s, rec, f"{path}.block{i}")
-        return s
-
 
 def _make_blocks(spec: StageSpec):
     blocks = []
@@ -115,31 +109,11 @@ class Model(Module):
 
     # -- analysis ----------------------------------------------------------
 
-    def trace(self, in_shape, rec, path="model"):
-        s = self.stem.trace(in_shape, rec, f"{path}.stem")
-        for i, stage in enumerate(self.stages):
-            if i > 0:
-                s = self.downsamplers[i - 1].trace(s, rec, f"{path}.ds{i}")
-            s = stage.trace(s, rec, f"{path}.stage{i + 1}")
-        return self.head.trace(s, rec, f"{path}.head")
-
     def stage_boundary_shapes(self, in_shape):
-        """Feature shape after every stage, by shape inference alone."""
+        """Feature shape after every stage, from one trace pass."""
         rec = CostRecorder()
-        shapes = []
-        s = self.stem.trace(in_shape, rec, "stem")
-        for i, stage in enumerate(self.stages):
-            if i > 0:
-                s = self.downsamplers[i - 1].trace(s, rec, f"ds{i}")
-            s = stage.trace(s, rec, f"stage{i + 1}")
-            shapes.append(s)
-        return shapes
-
-    def param_tree(self) -> ParamTree:
-        tree = ParamTree()
-        for path, tensor, trainable in self.named_entries():
-            tree.add(path, tensor, trainable)
-        return tree
+        self.trace(in_shape, rec)
+        return [rec.shapes[f"stage{i}"] for i in range(1, len(self.stages) + 1)]
 
     def load_state(self, tree: ParamTree):
         tree.copy_into(self.param_tree())
@@ -299,8 +273,3 @@ def build_mvit_baseline(row=6, resolution: int = 224,
         return build_model(row, seed)
     cfg = mvit_config(row, resolution, num_classes)
     return build_model(cfg, seed)
-
-
-def forward(model: Model, images: Tensor) -> Tensor:
-    """Run a built model on an image batch; returns class logits."""
-    return model(images)
