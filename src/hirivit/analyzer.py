@@ -182,20 +182,18 @@ class ScalingRow:
     ratio_to_first: float
 
 
-def scaling_report(variants, resolutions, num_classes: int = 1000,
-                   builder=None) -> list:
+def scaling_report(variants, resolutions, builder=None) -> list:
     """Params and FLOPs per (variant, resolution), with growth ratios.
 
     Each resolution is costed on the build deployed for that resolution.
     ``builder(variant, resolution)`` must return an un-initialized or built
     model; by default the published five-stage family is used.
     """
-    from .config import ModelConfig  # noqa: F401  (typing aid)
     from .zoo import Model, hiri_config
 
     if builder is None:
         def builder(variant, resolution):
-            return Model(hiri_config(variant, resolution, num_classes))
+            return Model(hiri_config(variant, resolution))
 
     rows = []
     for v in variants:
@@ -259,8 +257,7 @@ def _band_check(label, expected, actual, rel_tol) -> CheckRow:
     return CheckRow(label, expected, actual, rel_tol, ok)
 
 
-def verify_reference_costs(tol_params: float = 0.03, tol_flops: float = 0.10,
-                           num_classes: int = 1000) -> list:
+def verify_reference_costs(tol_params: float = 0.03, tol_flops: float = 0.10) -> list:
     """Rebuild the family and compare against the published reference costs."""
     from .zoo import Model, hiri_config, mvit_config
 
@@ -268,7 +265,7 @@ def verify_reference_costs(tol_params: float = 0.03, tol_flops: float = 0.10,
     flops_by_key = {}
     for v in ("S", "B", "L"):
         for res in (224, 384, 448):
-            model = Model(hiri_config(v, res, num_classes))
+            model = Model(hiri_config(v, res))
             rep = count_flops(model, res)
             if res == 224:
                 checks.append(_band_check(
@@ -283,13 +280,13 @@ def verify_reference_costs(tol_params: float = 0.03, tol_flops: float = 0.10,
 
     mvit_flops = {}
     for row in (1, 6):
-        model = Model(mvit_config(row, 224, num_classes))
+        model = Model(mvit_config(row, 224))
         rep = count_flops(model, 224)
         checks.append(_band_check(
             f"ladder row {row}: params", REFERENCE_MVIT_PARAMS[row], rep.params,
             tol_params))
         mvit_flops[(row, 224)] = rep.gflops
-    model = Model(mvit_config(6, 448, num_classes))
+    model = Model(mvit_config(6, 448))
     mvit_flops[(6, 448)] = count_flops(model, 448).gflops
     for key, expected in REFERENCE_MVIT_GFLOPS.items():
         checks.append(_band_check(

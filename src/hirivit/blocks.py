@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import KV_REDUCE_KINDS
 from .engine import Tensor, no_grad, ops
 from .engine.tensor import observe_results
 from .errors import ConfigError, ResolutionError, ShapeError
@@ -234,21 +235,6 @@ class BatchNorm2d(Module):
                               self.training, self.momentum, self.eps)
 
 
-class LayerNorm2d(Module):
-    """Per-position normalization over the channel axis of an NCHW map."""
-
-    def __init__(self, channels, eps=1e-6):
-        super().__init__()
-        self.channels, self.eps = channels, eps
-        self.gamma = self.add_param("gamma", (channels,))
-        self.beta = self.add_param("beta", (channels,))
-
-    def forward(self, x):
-        xt = ops.transpose(x, (0, 2, 3, 1))
-        yt = ops.layer_norm(xt, self.gamma, self.beta, self.eps)
-        return ops.transpose(yt, (0, 3, 1, 2))
-
-
 class LayerNorm(Module):
     """Last-axis normalization for token tensors."""
 
@@ -260,6 +246,14 @@ class LayerNorm(Module):
 
     def forward(self, x):
         return ops.layer_norm(x, self.gamma, self.beta, self.eps)
+
+
+class LayerNorm2d(LayerNorm):
+    """Per-position normalization over the channel axis of an NCHW map."""
+
+    def forward(self, x):
+        yt = super().forward(ops.transpose(x, (0, 2, 3, 1)))
+        return ops.transpose(yt, (0, 3, 1, 2))
 
 
 def make_norm2d(kind: str, channels: int) -> Module:
@@ -376,14 +370,15 @@ class HighResBlock(Module):
 
 
 def _resolve_resize(in_grid: int | None, out_grid: int | None):
-    """Map (input grid, target grid) to a downsampler stride plan."""
+    """Map (input grid, target grid) to (conv stride, pre-pool, shortcut pool)."""
     if in_grid is None or out_grid is None or in_grid == 2 * out_grid \
             or out_grid == -(-in_grid // 2):
-        return 2, None
+        return 2, Identity(), AvgPoolHalve()
     if in_grid == out_grid:
-        return 1, None
+        return 1, Identity(), Identity()
     if in_grid > out_grid:
-        return 1, out_grid
+        target = (out_grid, out_grid)
+        return 1, AvgPoolTo(target), AvgPoolTo(target)
     raise ConfigError(f"downsampler cannot grow {in_grid} -> {out_grid}")
 
 
@@ -401,20 +396,16 @@ class DownsampleA(Module):
 
     def __init__(self, cin, cout, in_grid=None, out_grid=None):
         super().__init__()
-        stride, pool_to = _resolve_resize(in_grid, out_grid)
+        stride, pre_pool, sc_pool = _resolve_resize(in_grid, out_grid)
         mid = self.expand_factor * cout
-        self.pre_pool = self.add_child(
-            "pre_pool", AvgPoolTo((pool_to, pool_to)) if pool_to else Identity())
+        self.pre_pool = self.add_child("pre_pool", pre_pool)
         self.reduce = self.add_child("reduce", Conv2d(cin, mid, 3, stride=stride, bias=False))
         self.norm1 = self.add_child("norm1", BatchNorm2d(mid))
         self.act1 = self.add_child("act1", GELU())
         self.project = self.add_child("project", Conv2d(mid, cout, 1, bias=False))
         self.norm2 = self.add_child("norm2", BatchNorm2d(cout))
         self.act2 = self.add_child("act2", GELU())
-        self.sc_pool = self.add_child(
-            "sc_pool",
-            AvgPoolTo((pool_to, pool_to)) if pool_to
-            else (AvgPoolHalve() if stride == 2 else Identity()))
+        self.sc_pool = self.add_child("sc_pool", sc_pool)
         self.sc_project = self.add_child("sc_project", Conv2d(cin, cout, 1))
 
     def forward(self, x):
@@ -437,19 +428,15 @@ class DownsampleB(Module):
 
     def __init__(self, cin, cout, in_grid=None, out_grid=None):
         super().__init__()
-        stride, pool_to = _resolve_resize(in_grid, out_grid)
+        stride, pre_pool, sc_pool = _resolve_resize(in_grid, out_grid)
         mid = self.expand_factor * cin
-        self.pre_pool = self.add_child(
-            "pre_pool", AvgPoolTo((pool_to, pool_to)) if pool_to else Identity())
+        self.pre_pool = self.add_child("pre_pool", pre_pool)
         self.expand = self.add_child("expand", Conv2d(cin, mid, 1, bias=False))
         self.norm1 = self.add_child("norm1", BatchNorm2d(mid))
         self.act1 = self.add_child("act1", GELU())
         self.dw = self.add_child("dw", Conv2d(mid, mid, 3, stride=stride, groups=mid))
         self.project = self.add_child("project", Conv2d(mid, cout, 1))
-        self.sc_pool = self.add_child(
-            "sc_pool",
-            AvgPoolTo((pool_to, pool_to)) if pool_to
-            else (AvgPoolHalve() if stride == 2 else Identity()))
+        self.sc_pool = self.add_child("sc_pool", sc_pool)
         self.sc_project = self.add_child("sc_project", Conv2d(cin, cout, 1))
 
     def forward(self, x):
@@ -463,8 +450,11 @@ class DownsampleB(Module):
 class PlainDownsample(Module):
     """Single strided 3x3 conv with LN (the conventional between-stage merge)."""
 
-    def __init__(self, cin, cout, **_ignored):
+    def __init__(self, cin, cout, in_grid=None, out_grid=None):
         super().__init__()
+        if _resolve_resize(in_grid, out_grid)[0] != 2:
+            raise ConfigError(f"downsamplers: 'conv' only halves the grid,"
+                              f" cannot map {in_grid} -> {out_grid}")
         self.conv = self.add_child("conv", Conv2d(cin, cout, 3, stride=2))
         self.norm = self.add_child("norm", LayerNorm2d(cout))
 
@@ -511,7 +501,7 @@ class FFNBlock(Module):
 
 
 class Attention(Module):
-    """Multi-head self-attention over an NCHW feature map.
+    """Multi-head self-attention over an NCHW feature map or its tokens.
 
     ``kv_reduce`` selects how keys/values are spatially reduced:
       * "none"      -- full-token attention,
@@ -521,19 +511,21 @@ class Attention(Module):
                        plus LN on the input map before the K/V projections.
     """
 
-    def __init__(self, dim, heads, sr_ratio=1, kv_reduce="pool", qkv_bias=True):
+    def __init__(self, dim, heads, sr_ratio=1, kv_reduce="pool"):
         super().__init__()
         if dim % heads:
             raise ConfigError(f"attention dim {dim} not divisible by heads {heads}")
         if sr_ratio < 1:
             raise ConfigError(f"sr_ratio must be >= 1, got {sr_ratio}")
+        if kv_reduce not in KV_REDUCE_KINDS:
+            raise ConfigError(f"unknown kv_reduce {kv_reduce!r}")
         self.dim, self.heads, self.sr_ratio = dim, heads, sr_ratio
         self.head_dim = dim // heads
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.kv_reduce = kv_reduce if sr_ratio > 1 else "none"
-        self.q = self.add_child("q", Linear(dim, dim, bias=qkv_bias))
-        self.k = self.add_child("k", Linear(dim, dim, bias=qkv_bias))
-        self.v = self.add_child("v", Linear(dim, dim, bias=qkv_bias))
+        self.q = self.add_child("q", Linear(dim, dim))
+        self.k = self.add_child("k", Linear(dim, dim))
+        self.v = self.add_child("v", Linear(dim, dim))
         self.proj = self.add_child("proj", Linear(dim, dim))
         if self.kv_reduce == "conv":
             self.sr_conv = self.add_child(
@@ -542,9 +534,9 @@ class Attention(Module):
 
     # -- helpers -----------------------------------------------------------
 
-    def _split_heads(self, x, n_tokens):
-        b = x.shape[0]
-        x = ops.reshape(x, (b, n_tokens, self.heads, self.head_dim))
+    def _split_heads(self, x):
+        b, n, _ = x.shape
+        x = ops.reshape(x, (b, n, self.heads, self.head_dim))
         return ops.transpose(x, (0, 2, 1, 3))
 
     def _tokens(self, x_map):
@@ -555,74 +547,48 @@ class Attention(Module):
         b, n, c = tokens.shape
         return ops.reshape(ops.transpose(tokens, (0, 2, 1)), (b, c, h, w))
 
-    def _attend(self, q, k, v):
-        """Softmax attention over split heads; merges heads and projects."""
-        b, _, n, _ = q.shape
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
-        attn = ops.softmax(scores, axis=-1)
-        out = ops.ordered_matmul(attn, v)
-        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, self.dim))
-        return self.proj(out)
+    def _pool(self, tokens, h, w):
+        hw = (h // self.sr_ratio, w // self.sr_ratio)
+        return self._tokens(ops.adaptive_avg_pool2d(self._maps(tokens, h, w), hw))
+
+    # -- forward -----------------------------------------------------------
 
     def forward_tokens(self, x, hw):
         """Attention over tokens (B, n, D); ``hw`` gives the 2D layout."""
-        if self.kv_reduce == "conv":
-            raise ConfigError(
-                "conv-style reduction operates on feature maps; call forward()")
-        n = x.shape[1]
+        b, n, _ = x.shape
         h, w = hw
         if h * w != n:
             raise ShapeError(f"token count {n} does not match layout {h}x{w}")
-        q = self._split_heads(self.q(x), n)
-        k_full = self.k(x)
-        v_full = self.v(x)
+        q = self._split_heads(self.q(x))
+        kv = x
+        if self.kv_reduce == "conv":
+            kv = self.sr_norm(self._tokens(self.sr_conv(self._maps(x, h, w))))
+        k, v = self.k(kv), self.v(kv)
         if self.kv_reduce == "pool":
-            hk, wk = h // self.sr_ratio, w // self.sr_ratio
-            k_map = ops.adaptive_avg_pool2d(self._maps(k_full, h, w), (hk, wk))
-            v_map = ops.adaptive_avg_pool2d(self._maps(v_full, h, w), (hk, wk))
-            nk = hk * wk
-            k = self._split_heads(self._tokens(k_map), nk)
-            v = self._split_heads(self._tokens(v_map), nk)
-        else:
-            k = self._split_heads(k_full, n)
-            v = self._split_heads(v_full, n)
-        return self._attend(q, k, v)
+            k, v = self._pool(k, h, w), self._pool(v, h, w)
+        k, v = self._split_heads(k), self._split_heads(v)
+        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
+        out = ops.ordered_matmul(ops.softmax(scores, axis=-1), v)
+        return self.proj(ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, self.dim)))
 
     def forward(self, x):
         h, w = x.shape[2:]
-        if self.kv_reduce == "conv":
-            tokens = self._tokens(x)
-            q = self._split_heads(self.q(tokens), h * w)
-            red = self.sr_conv(x)
-            hk, wk = red.shape[2], red.shape[3]
-            red_tok = self.sr_norm(self._tokens(red))
-            nk = hk * wk
-            k = self._split_heads(self.k(red_tok), nk)
-            v = self._split_heads(self.v(red_tok), nk)
-            out = self._attend(q, k, v)
-        else:
-            out = self.forward_tokens(self._tokens(x), (h, w))
-        return self._maps(out, h, w)
+        return self._maps(self.forward_tokens(self._tokens(x), (h, w)), h, w)
 
 
 class TransformerBlock(Module):
     """Pre-norm attention plus convolutional feed-forward, both residual."""
 
     def __init__(self, dim, expansion, heads, sr_ratio=1, kv_reduce="pool",
-                 attn_norm="ln", ffn_norm="bn", use_cffn=True, with_attention=True):
+                 attn_norm="ln", ffn_norm="bn", use_cffn=True):
         super().__init__()
-        self.with_attention = with_attention
-        if with_attention:
-            self.attn_norm = self.add_child("attn_norm", make_norm2d(attn_norm, dim))
-            self.attn = self.add_child(
-                "attn", Attention(dim, heads, sr_ratio, kv_reduce))
+        self.attn_norm = self.add_child("attn_norm", make_norm2d(attn_norm, dim))
+        self.attn = self.add_child("attn", Attention(dim, heads, sr_ratio, kv_reduce))
         ffn_cls = ConvFFNBlock if use_cffn else FFNBlock
         self.ffn = self.add_child("ffn", ffn_cls(dim, expansion, norm=ffn_norm))
 
     def forward(self, x):
-        if self.with_attention:
-            x = ops.add(x, self.attn(self.attn_norm(x)))
-        return self.ffn(x)
+        return self.ffn(ops.add(x, self.attn(self.attn_norm(x))))
 
 
 class ClassifierHead(Module):

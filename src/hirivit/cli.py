@@ -146,7 +146,7 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    from .train import SyntheticQuadrants, TrainConfig, train_loop
+    from .train import METRICS_HEADER, SyntheticQuadrants, TrainConfig, train_loop
 
     cfg = _load_config(args, default=hiri_micro_config())
     model, _ = build_model(cfg, seed=args.seed)
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
     with open(metrics_path, "w") as stream:
-        stream.write("step,loss,lr,train_acc\n")
+        stream.write(METRICS_HEADER)
         records, tree, ema = train_loop(model, dataset, tc,
                                         teacher_model=teacher,
                                         metrics_stream=stream)

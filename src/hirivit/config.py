@@ -30,6 +30,14 @@ from .errors import ConfigError
 STAGE_KINDS = ("hr", "ffn", "cffn", "transformer")
 STEM_KINDS = ("hr", "conv", "vit")
 DOWNSAMPLER_KINDS = ("irds_a", "irds_b", "conv")
+NORM_KINDS = ("bn", "ln")
+KV_REDUCE_KINDS = ("pool", "conv", "none")
+
+
+def _check_positive(where: str, **values):
+    for key, val in values.items():
+        if val is not None and val < 1:
+            raise ConfigError(f"{where}{key} must be >= 1, got {val}")
 
 
 @dataclass
@@ -48,8 +56,14 @@ class StageSpec:
     def validate(self, idx: int):
         if self.kind not in STAGE_KINDS:
             raise ConfigError(f"stage {idx}: unknown kind {self.kind!r}")
-        if self.depth < 1:
-            raise ConfigError(f"stage {idx}: depth must be >= 1")
+        for key, kinds in (("norm", NORM_KINDS), ("attn_norm", NORM_KINDS),
+                           ("kv_reduce", KV_REDUCE_KINDS)):
+            if getattr(self, key) not in kinds:
+                raise ConfigError(f"stage {idx}: unknown {key} {getattr(self, key)!r};"
+                                  f" expected one of {', '.join(kinds)}")
+        _check_positive(f"stage {idx}: ", depth=self.depth, channels=self.channels,
+                        expansion=self.expansion, heads=self.heads,
+                        sr_ratio=self.sr_ratio)
         if self.kind == "transformer":
             if self.heads is None:
                 raise ConfigError(f"stage {idx}: transformer stage needs heads")
@@ -59,8 +73,6 @@ class StageSpec:
                     f" heads {self.heads}")
         elif self.heads is not None:
             raise ConfigError(f"stage {idx}: heads only valid for transformer stages")
-        if self.sr_ratio < 1:
-            raise ConfigError(f"stage {idx}: sr_ratio must be >= 1")
 
 
 @dataclass
@@ -87,6 +99,10 @@ class ModelConfig:
             if ds not in DOWNSAMPLER_KINDS:
                 raise ConfigError(f"unknown downsampler kind {ds!r}")
         h, w = self.resolution
+        if h < 1 or w < 1:
+            raise ConfigError(f"resolution must be at least 1x1, got {h}x{w}")
+        _check_positive("", head_hidden=self.head_hidden,
+                        anchor_resolution=self.anchor_resolution)
         div = 4 * 2 ** max(len(self.stages) - 2, 0)
         if h % div or w % div:
             raise ConfigError(
@@ -153,12 +169,39 @@ def serialize_config(cfg: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
     if raw.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+def _parse_hw(raw: str) -> tuple[int, int]:
+    h, w = raw.lower().split("x")
+    return int(h), int(w)
+
+
+_INT = (int, "an integer")
+_CONVERTERS = {  # key -> (text to value, what the text must be); others stay text
+    "resolution": (_parse_hw, "HxW with integer sides"), "num_classes": _INT,
+    "head_hidden": _INT, "anchor_resolution": _INT, "depth": _INT,
+    "channels": _INT, "expansion": _INT, "heads": _INT, "sr_ratio": _INT,
+    "use_cffn": (_parse_bool, "a boolean"),
+}
+
+
+def _values(entries: dict) -> dict:
+    """Convert ``key -> (text, line)`` entries; a bad value names line and key."""
+    out = {}
+    for key, (raw, lineno) in entries.items():
+        convert, expected = _CONVERTERS.get(key, (str, ""))
+        try:
+            out[key] = convert(raw)
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: {key}: expected {expected}, got {raw!r}") from None
+    return out
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -195,19 +238,17 @@ def parse_config(text: str) -> ModelConfig:
         if section[0] == "model":
             if key not in _MODEL_KEYS:
                 raise ConfigError(f"line {lineno}: unknown model key {key!r}")
-            model[key] = val
+            model[key] = (val, lineno)
         else:
             if key not in _STAGE_KEYS:
                 raise ConfigError(f"line {lineno}: unknown stage key {key!r}")
-            stages[section[1]][key] = val
+            stages[section[1]][key] = (val, lineno)
 
     for req in ("name", "resolution", "num_classes", "stem", "downsamplers"):
         if req not in model:
             raise ConfigError(f"missing model key {req!r}")
-    res = model["resolution"].lower().split("x")
-    if len(res) != 2:
-        raise ConfigError(f"resolution must be HxW, got {model['resolution']!r}")
-    downs = [d.strip() for d in model["downsamplers"].split(",") if d.strip()]
+    model = _values(model)
+    downs = [d.strip() for d in model.pop("downsamplers").split(",") if d.strip()]
 
     specs = []
     for idx in sorted(stages):
@@ -217,29 +258,8 @@ def parse_config(text: str) -> ModelConfig:
         for req in ("kind", "depth", "channels", "expansion"):
             if req not in sd:
                 raise ConfigError(f"stage {idx}: missing key {req!r}")
-        specs.append(StageSpec(
-            kind=sd["kind"],
-            depth=int(sd["depth"]),
-            channels=int(sd["channels"]),
-            expansion=int(sd["expansion"]),
-            heads=int(sd["heads"]) if "heads" in sd else None,
-            sr_ratio=int(sd.get("sr_ratio", 1)),
-            norm=sd.get("norm", "bn"),
-            attn_norm=sd.get("attn_norm", "ln"),
-            use_cffn=_parse_bool(sd["use_cffn"], "use_cffn") if "use_cffn" in sd else True,
-            kv_reduce=sd.get("kv_reduce", "pool"),
-        ))
+        specs.append(StageSpec(**_values(sd)))
 
-    cfg = ModelConfig(
-        name=model["name"],
-        resolution=(int(res[0]), int(res[1])),
-        num_classes=int(model["num_classes"]),
-        stem=model["stem"],
-        stages=specs,
-        downsamplers=downs,
-        head_hidden=int(model["head_hidden"]) if "head_hidden" in model else None,
-        anchor_resolution=(int(model["anchor_resolution"])
-                           if "anchor_resolution" in model else None),
-    )
+    cfg = ModelConfig(stages=specs, downsamplers=downs, **model)
     cfg.validate()
     return cfg

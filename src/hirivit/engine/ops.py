@@ -184,33 +184,27 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return make_result(data, (a,), "sum", bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, int):
-        n = a.shape[axis]
-    else:
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # dense linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-            f" (axis -1 of lhs is {a.shape[-1]}, axis -2 of rhs is {b.shape[-2]})")
-    data = current_backend().matmul(a.data, b.data)
+def _matmul_result(data, a: Tensor, b: Tensor, op: str) -> Tensor:
+    """Tape node for ``data = a @ b``, however the product was summed."""
 
     def bw(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-    return make_result(data, (a, b), "matmul", bw)
+    return make_result(data, (a, b), op, bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(
+            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
+            f" (axis -1 of lhs is {a.shape[-1]}, axis -2 of rhs is {b.shape[-2]})")
+    return _matmul_result(current_backend().matmul(a.data, b.data), a, b, "matmul")
 
 
 def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -230,13 +224,7 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         prod = a.data[..., :, :, None] * b.data[..., None, :, :]
         data = ordered_sum(prod, axis=-2)
-
-    def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return make_result(data, (a, b), "ordered_matmul", bw)
+    return _matmul_result(data, a, b, "ordered_matmul")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -493,13 +481,6 @@ def upsample_repeat(x: Tensor, factor: int) -> Tensor:
     """Nearest-neighbor upsampling: each cell becomes a factor x factor block."""
     if factor < 1:
         raise ConfigError(f"upsample factor must be >= 1, got {factor}")
-    if factor == 1:
-        data = x.data
-
-        def bw1(g):
-            return (g,)
-
-        return make_result(data, (x,), "upsample_repeat", bw1)
     n, c, h, w = x.shape
     data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
 

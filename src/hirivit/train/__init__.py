@@ -4,7 +4,7 @@ from .distill import (DistillTarget, distill_target, majority_downsample,
 from .ema import EmaState, ema_init, ema_update
 from .mixing import MixedSample, cutmix, mixup
 from .optim import AdamW, cosine_schedule
-from .loop import StepRecord, TrainConfig, TrainingDiverged, train_loop
+from .loop import METRICS_HEADER, StepRecord, TrainConfig, TrainingDiverged, train_loop
 
 __all__ = [
     "SyntheticQuadrants", "save_dataset", "load_dataset",
@@ -13,5 +13,5 @@ __all__ = [
     "soft_cross_entropy", "teacher_prob_map",
     "EmaState", "ema_init", "ema_update",
     "AdamW", "cosine_schedule",
-    "TrainConfig", "StepRecord", "TrainingDiverged", "train_loop",
+    "TrainConfig", "StepRecord", "METRICS_HEADER", "TrainingDiverged", "train_loop",
 ]

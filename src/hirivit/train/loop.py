@@ -3,7 +3,8 @@
 Per step: mix a batch pair (Cutmix or Mixup), form the target label from
 the EMA teacher's mixed probability maps, run the student on the mixed
 batch, soft cross-entropy, backward, AdamW with the cosine schedule, then
-the EMA teacher update. Emits one machine-readable metrics line per step.
+the EMA teacher update. Emits one metrics CSV row per step
+(``StepRecord.csv_row``; the header is ``METRICS_HEADER``).
 
 The reported train accuracy comes from an extra no-grad forward over the
 unmixed images (train-mode statistics); that pass also refreshes the
@@ -13,7 +14,7 @@ student's BN running estimates.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,15 +39,22 @@ class TrainConfig:
     mix: str = "cutmix"           # "cutmix" | "mixup" | "none"
     mix_prob: float = 0.5
     seed: int = 0
-    log_every: int = 1
 
 
 @dataclass
 class StepRecord:
+    """One training step; also one row of the metrics CSV."""
+
     step: int
     loss: float
     lr: float
     train_acc: float
+
+    def csv_row(self) -> str:
+        return f"{self.step},{self.loss:.6f},{self.lr:.8f},{self.train_acc:.4f}\n"
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(StepRecord)) + "\n"
 
 
 class TrainingDiverged(RuntimeError):
@@ -129,8 +137,7 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
         acc = _accuracy(model, images, labels)
         rec = StepRecord(step=step, loss=loss_val, lr=lr, train_acc=acc)
         records.append(rec)
-        if metrics_stream is not None and step % config.log_every == 0:
-            metrics_stream.write(f"{rec.step},{rec.loss:.6f},{rec.lr:.8f},"
-                                 f"{rec.train_acc:.4f}\n")
+        if metrics_stream is not None:
+            metrics_stream.write(rec.csv_row())
             metrics_stream.flush()
     return records, tree, ema

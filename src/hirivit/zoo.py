@@ -262,14 +262,7 @@ def mvit_config(row: int = 6, resolution: int = 224,
     return cfg
 
 
-def build_mvit_baseline(row=6, resolution: int = 224,
+def build_mvit_baseline(row: int = 6, resolution: int = 224,
                         num_classes: int = 1000, seed: int = 0):
-    """Build one ablation-ladder row (or an explicit stage table).
-
-    ``row`` is a ladder level 1..6, or a full :class:`ModelConfig` when a
-    custom four-stage table is wanted. Returns (model, parameter tree).
-    """
-    if isinstance(row, ModelConfig):
-        return build_model(row, seed)
-    cfg = mvit_config(row, resolution, num_classes)
-    return build_model(cfg, seed)
+    """Build one ablation-ladder row 1..6; returns (model, parameter tree)."""
+    return build_model(mvit_config(row, resolution, num_classes), seed)

@@ -358,3 +358,35 @@ def test_shape_inference_matches_forward_on_50_random_configs():
         predicted = block.out_shape(shape)
         actual = block(Tensor(rng.standard_normal(shape))).shape
         assert predicted == actual
+
+
+# ---------------------------------------------------------------------------
+# one attention path for tokens and maps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kv_reduce, sr_ratio",
+                         [("none", 1), ("pool", 2), ("conv", 2)])
+def test_forward_tokens_equals_forward_bitwise(kv_reduce, sr_ratio):
+    attn = Attention(8, 2, sr_ratio, kv_reduce=kv_reduce)
+    randomize(attn, seed=21)
+    x = np.random.default_rng(21).standard_normal((2, 8, 4, 6))
+    b, c, h, w = x.shape
+    tokens = np.ascontiguousarray(x.reshape(b, c, h * w).transpose(0, 2, 1))
+    out_tokens = attn.forward_tokens(t(tokens), (h, w)).data
+    out_map = attn(t(x)).data
+    assert (out_tokens == out_map.reshape(b, c, h * w).transpose(0, 2, 1)).all()
+
+
+def test_attention_rejects_unknown_kv_reduce():
+    with pytest.raises(ConfigError, match="kv_reduce"):
+        Attention(8, 2, 2, kv_reduce="poool")
+
+
+def test_plain_downsample_only_halves():
+    from hirivit.blocks import PlainDownsample
+
+    assert PlainDownsample(4, 8, in_grid=7, out_grid=4).out_shape((1, 4, 7, 7)) \
+        == (1, 8, 4, 4)
+    for in_grid, out_grid in ((28, 28), (28, 10), (14, 28)):
+        with pytest.raises(ConfigError, match="downsampler"):
+            PlainDownsample(4, 8, in_grid=in_grid, out_grid=out_grid)

@@ -475,3 +475,12 @@ class TestSyntheticData:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_dataset(str(tmp_path))
+
+
+def test_metrics_header_matches_rows():
+    from hirivit.train import METRICS_HEADER, StepRecord
+
+    row = StepRecord(step=3, loss=0.5, lr=1e-3, train_acc=0.25).csv_row()
+    assert METRICS_HEADER == "step,loss,lr,train_acc\n"
+    assert row.endswith("\n")
+    assert len(METRICS_HEADER.split(",")) == len(row.split(",")) == 4
