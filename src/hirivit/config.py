@@ -110,6 +110,14 @@ class ModelConfig:
                 f" {len(self.stages)} stages")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        grids = self.stage_grids()
+        for i in range(1, len(grids)):
+            if grids[i] > grids[i - 1]:
+                raise ConfigError(
+                    f"resolution {h}x{w} is below what anchor_resolution"
+                    f" {self.anchor_resolution} supports: stage {i + 1} keeps the"
+                    f" anchor's {grids[i]}x{grids[i]} grid, but stage {i} is only"
+                    f" {grids[i - 1]}x{grids[i - 1]}")
         for i, s in enumerate(self.stages, 1):
             s.validate(i)
 

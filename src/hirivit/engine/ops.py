@@ -3,9 +3,13 @@
 Conventions
 -----------
 * conv2d implements cross-correlation (no kernel flip).
-* Reductions over token axes inside attention (softmax denominator, the
-  attention-times-values product) sum in value-sorted order, which makes the
-  forward pass bit-identical under any permutation of the reduced axis.
+* Reductions over the key/value token axis inside attention are bitwise
+  invariant to a permutation of that axis. The softmax denominator sums in
+  value-sorted order; the attention-times-values product (``ordered_matmul``)
+  contracts in one canonical key order per (batch, head) and computes each
+  query row on its own, so a permutation of the query rows permutes its
+  output rows bitwise. The query-key product (``matmul``) is a plain BLAS
+  call and carries no such guarantee.
 * Forward kernels for conv/linear/matmul dispatch through a swappable
   backend so an instrumented MAC-counting executor, or the shape-only
   executor of the cost analyzer, can drive the same graph.
@@ -208,12 +212,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul whose contraction sums in value-sorted order.
+    """Batched matmul, bitwise permutation-equivariant in both token axes.
 
-    Used for the attention x values product: the output is bitwise stable
-    under a joint permutation of the contracted (key/value token) axis.
-    Memory cost is O(m*k*p) per batch element, acceptable for attention-size
-    operands.
+    Used for the attention x values product. For each leading (batch, head)
+    index the contracted key/value axis is put in one canonical order
+    (``np.lexsort`` with the rows of ``b`` as primary keys and the columns of
+    ``a`` as the tie-break, so keys that still tie contribute identical
+    terms), and each output row is then its own ``(1, k) @ (k, p)`` product.
+    A joint permutation of the contracted axis therefore leaves the output
+    bitwise unchanged, and a permutation of the rows of ``a`` permutes the
+    output rows bitwise. A single GEMM would not do: the result for a row can
+    depend on the row's position in the block.
     """
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
@@ -222,8 +231,17 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
     if be.counting:
         data = be.matmul(a.data, b.data)
     else:
-        prod = a.data[..., :, :, None] * b.data[..., None, :, :]
-        data = ordered_sum(prod, axis=-2)
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        (m, k), p = a.shape[-2:], b.shape[-1]
+        a3 = np.broadcast_to(a.data, lead + (m, k)).reshape(-1, m, k)
+        b3 = np.broadcast_to(b.data, lead + (k, p)).reshape(-1, k, p)
+        # lexsort's last key is the primary one
+        keys = np.concatenate([np.moveaxis(a3, 1, 0)[::-1],
+                               np.moveaxis(b3, 2, 0)[::-1]])
+        order = np.lexsort(keys, axis=-1)
+        a3 = np.take_along_axis(a3, order[:, None, :], axis=-1)
+        b3 = np.take_along_axis(b3, order[:, :, None], axis=-2)
+        data = np.matmul(a3[:, :, None, :], b3[:, None, :, :]).reshape(lead + (m, p))
     return _matmul_result(data, a, b, "ordered_matmul")
 
 

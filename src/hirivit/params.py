@@ -14,6 +14,7 @@ Checkpoint layout (version 1, little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -24,6 +25,7 @@ from .errors import ConfigError
 
 MAGIC = b"HIRI"
 VERSION = 1
+MAX_RANK = 64         # NumPy's dimension limit
 
 
 class ParamTree:
@@ -140,35 +142,60 @@ def save_checkpoint(tree: ParamTree, path: str):
 
 
 def load_checkpoint(path: str) -> ParamTree:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ConfigError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The file is read once into one byte buffer and every array is a float64
+    view into it (possibly unaligned), so loading makes no per-array copy.
+    A truncated or corrupt file raises ConfigError naming the byte offset.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if bytes(buf[:4]) != MAGIC:
+        raise ConfigError(f"{path}: bad magic {bytes(buf[:4])!r}")
+    end = buf.size - 4      # the CRC trailer starts here
+
+    def take(off: int, nbytes: int, what: str) -> np.ndarray:
+        if nbytes > end - off:
+            raise ConfigError(
+                f"{path}: {what} at byte {off} runs past the {max(end - off, 0)}"
+                f" bytes left before the CRC (truncated or corrupt file)")
+        return buf[off:off + nbytes]
+
+    def read(fmt: str, off: int, what: str) -> tuple:
+        return struct.unpack(fmt, take(off, struct.calcsize(fmt), what))
+
+    (version,) = read("<I", 4, "format version")
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     tree = ParamTree()
     off = 8
-    end = len(blob) - 4
     crc = 0
     while off < end:
-        (nlen,) = struct.unpack_from("<I", blob, off)
+        (nlen,) = read("<I", off, "name length")
         off += 4
-        name = blob[off:off + nlen].decode("utf-8")
+        try:
+            name = bytes(take(off, nlen, "name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: name at byte {off} is not UTF-8") from exc
         off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
+        (rank,) = read("<I", off, f"rank of {name!r}")
+        if rank > MAX_RANK:
+            raise ConfigError(f"{path}: rank {rank} of {name!r} at byte {off}"
+                              f" exceeds {MAX_RANK}")
         off += 4
-        extents = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
+        shape_at = off
+        extents = read(f"<{rank}Q", off, f"extents of {name!r}")
         off += 8 * rank
-        count = int(np.prod(extents)) if rank else 1
-        nbytes = 8 * count
-        payload = blob[off:off + nbytes]
-        off += nbytes
+        payload = take(off, 8 * math.prod(extents), f"payload of {name!r}")
+        off += payload.size
         crc = zlib.crc32(payload, crc)
-        data = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
-        tree.add(name, Tensor(data), trainable=not name.endswith(
-            ("running_mean", "running_var")))
-    (stored,) = struct.unpack_from("<I", blob, end)
+        try:
+            data = payload.view("<f8").reshape(extents)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"{path}: shape of {name!r} at byte {shape_at} is unusable: {exc}") from exc
+        tree.add(name, Tensor(data),
+                 trainable=not name.endswith(("running_mean", "running_var")))
+    (stored,) = struct.unpack("<I", buf[end:])
     if stored != (crc & 0xFFFFFFFF):
         raise ConfigError(f"{path}: payload CRC mismatch")
     return tree

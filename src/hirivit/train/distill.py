@@ -60,13 +60,21 @@ def distill_target(teacher, xa: np.ndarray, xb: np.ndarray,
                    alpha: float, lam: float | None = None) -> DistillTarget:
     """Mix teacher probability maps under the Cutmix mask and blend labels.
 
+    ``xb`` holds the images of sample b, or integer indices of the rows of
+    ``xa`` that form them (a batch paired with its own permutation). Given
+    indices, the teacher runs once and its map for ``xa`` is indexed. The
+    eval-mode teacher treats each sample on its own, so this is the map of
+    the permuted batch up to the rounding of a BLAS product whose result
+    for a row can depend on the row's position.
+
     With no mask (Mixup), the maps blend by ``lam`` instead. ``alpha = 1``
     returns the mixed label unchanged.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    xb = np.asarray(xb)
     pa = teacher_prob_map(teacher, xa)
-    pb = teacher_prob_map(teacher, xb)
+    pb = pa[xb] if xb.dtype.kind in "iu" else teacher_prob_map(teacher, xb)
     if mask is not None:
         m = majority_downsample(mask, pa.shape[-2:])
         pm = m * pa + (1.0 - m) * pb

@@ -116,7 +116,7 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
 
         if config.alpha < 1.0 and use_mix:
             ema.tree.copy_into(teacher_tree)
-            target = distill_target(teacher_model, images, images[perm],
+            target = distill_target(teacher_model, images, perm,
                                     mask, y_mix, config.alpha, lam=lam).y_target
         else:
             target = y_mix

@@ -75,6 +75,85 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestCorruptCheckpoint:
+    """Each truncated or corrupted micro checkpoint either raises ConfigError
+    or loads bit-exact arrays; a renamed path then fails ``load_state``."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model, tree = build_model(hiri_micro_config(), seed=12)
+        path = tmp_path_factory.mktemp("ckpt") / "micro.hiri"
+        save_checkpoint(tree, str(path))
+        return model, tree, path.read_bytes()
+
+    @staticmethod
+    def _records(tree):
+        """Per record: (start, name start, shape start, payload start, end)."""
+        out, off = [], 8
+        for name, t in tree.items():
+            name_at = off + 4
+            shape_at = name_at + len(name.encode()) + 4
+            payload_at = shape_at + 8 * t.ndim
+            out.append((off, name_at, shape_at, payload_at, payload_at + 8 * t.size))
+            off = payload_at + 8 * t.size
+        return out
+
+    def _outcome(self, saved, blob, tmp_path):
+        model, tree, _ = saved
+        path = str(tmp_path / "bad.hiri")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            loaded = load_checkpoint(path)
+        except ConfigError:
+            return "error"
+        assert len(loaded) == len(tree)
+        for (_, a), (_, b) in zip(loaded.items(), tree.items()):
+            assert a.shape == b.shape and np.array_equal(a.data, b.data)
+        if loaded.paths() == tree.paths():
+            return "exact"
+        with pytest.raises(ConfigError):
+            model.load_state(loaded)
+        return "renamed"
+
+    def test_layout_matches_file(self, saved):
+        _, tree, blob = saved
+        assert self._records(tree)[-1][-1] == len(blob) - 4
+
+    def test_every_truncation_raises(self, saved, tmp_path):
+        _, tree, blob = saved
+        records = self._records(tree)
+        cuts = set(range(records[0][-1] + 1))         # header and first record
+        for rec in records:
+            cuts.update((rec[0] - 1, rec[0], rec[0] + 1))
+        cuts.update(range(records[0][-1], len(blob), 4099))   # through payloads
+        cuts.update((len(blob) - 5, len(blob) - 1))
+        for cut in sorted(c for c in cuts if 0 <= c < len(blob)):
+            assert self._outcome(saved, blob[:cut], tmp_path) == "error", cut
+
+    def test_flipped_header_bytes(self, saved, tmp_path):
+        _, tree, blob = saved
+        records = self._records(tree)
+        seen = set()
+        for start, _, _, payload_at, _ in (records[0], records[1],
+                                           records[len(records) // 2], records[-1]):
+            for at in range(start, payload_at):      # name length, name, shape
+                for mask in (0x01, 0x20, 0x80):
+                    bad = bytearray(blob)
+                    bad[at] ^= mask
+                    seen.add(self._outcome(saved, bytes(bad), tmp_path))
+        assert seen <= {"error", "renamed"} and "error" in seen
+
+    def test_error_names_the_offset(self, saved, tmp_path):
+        _, tree, blob = saved
+        _, _, shape_at, _, _ = self._records(tree)[0]
+        path = str(tmp_path / "cut.hiri")
+        with open(path, "wb") as fh:
+            fh.write(blob[:shape_at + 4])
+        with pytest.raises(ConfigError, match=f"byte {shape_at}"):
+            load_checkpoint(path)
+
+
 class TestTruncatedNormal:
     def test_bounded_and_deterministic(self):
         rng1 = np.random.default_rng(3)

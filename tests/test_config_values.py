@@ -91,3 +91,20 @@ def test_stage_grids_match_the_build_or_the_build_fails():
     model = Model(cfg)
     shapes = model.stage_boundary_shapes((1, 3, 224, 224))
     assert [s[2] for s in shapes] == cfg.stage_grids()
+
+
+@pytest.mark.parametrize("res", [64, 160, 192])
+def test_anchored_resolution_below_the_anchor_grids_is_rejected(res, capsys):
+    message = f"resolution {res}x{res} .*anchor_resolution 448"
+    with pytest.raises(ConfigError, match=message):
+        hiri_config("S", res)
+    assert main(["analyze", "--variant", "S", "--res", str(res)]) == 2
+    err = capsys.readouterr().err
+    assert f"resolution {res}x{res}" in err and "anchor_resolution 448" in err
+
+
+def test_smallest_anchored_resolution_still_builds():
+    cfg = hiri_config("S", 224)
+    assert cfg.stage_grids() == [56, 28, 28, 14, 7]
+    shapes = Model(cfg).stage_boundary_shapes((1, 3, 224, 224))
+    assert [s[2] for s in shapes] == cfg.stage_grids()

@@ -216,6 +216,31 @@ class TestDistillTarget:
         for m in (out.prob_a, out.prob_b, out.prob_mixed):
             np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-10)
 
+    def test_index_pairing_runs_the_teacher_once(self):
+        cfg = hiri_micro_config(resolution=32)
+        teacher, _ = build_model(cfg, seed=4)
+        calls = []
+        dense = teacher.forward_dense_logits
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return dense(x)
+
+        teacher.forward_dense_logits = counting
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((8, 3, 32, 32))
+        perm = rng.permutation(8)
+        mask = np.zeros((32, 32))
+        mask[:, :12] = 1.0
+        y_mixed = np.full((8, 2), 0.5)
+        by_index = distill_target(teacher, x, perm, mask, y_mixed, alpha=0.5)
+        assert calls == [8]
+        by_images = distill_target(teacher, x, x[perm], mask, y_mixed, alpha=0.5)
+        assert calls == [8, 8, 8]
+        for field in ("prob_a", "prob_b", "prob_mixed", "y_teacher", "y_target"):
+            np.testing.assert_allclose(getattr(by_index, field),
+                                       getattr(by_images, field), atol=1e-12)
+
     def test_alpha_out_of_range(self):
         teacher = _ConstantTeacher([0.0], [0.0])
         xa, xb = self._inputs()
