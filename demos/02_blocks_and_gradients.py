@@ -69,7 +69,9 @@ print("output == input:", bool((blk2(x16).data == x16.data).all()))
 print()
 
 print("=" * 72)
-print("4. attention is permutation-equivariant over tokens (bitwise)")
+print("4. attention is permutation-equivariant over tokens, bitwise at this")
+print("   12-token shape (not where the query-key BLAS product's result for a")
+print("   row depends on the row's position, e.g. 196 queries x 196 keys)")
 print("=" * 72)
 attn = Attention(16, 4, 1)
 tree_of(attn, 9)

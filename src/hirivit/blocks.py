@@ -208,22 +208,22 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, din, dout, bias=True):
+    def __init__(self, din, dout):
         super().__init__()
         self.din, self.dout = din, dout
         self.weight = self.add_param("weight", (dout, din))
-        self.bias = self.add_param("bias", (dout,)) if bias else None
+        self.bias = self.add_param("bias", (dout,))
 
     def forward(self, x):
         return ops.linear(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    """eps and momentum are ``ops.batch_norm``'s defaults."""
+
+    def __init__(self, channels):
         super().__init__()
-        if eps <= 0:
-            raise ConfigError(f"batch norm eps must be positive, got {eps}")
-        self.channels, self.eps, self.momentum = channels, eps, momentum
+        self.channels = channels
         self.gamma = self.add_param("gamma", (channels,))
         self.beta = self.add_param("beta", (channels,))
         self.running_mean = self.add_buffer("running_mean", np.zeros(channels))
@@ -232,20 +232,20 @@ class BatchNorm2d(Module):
     def forward(self, x):
         return ops.batch_norm(x, self.gamma, self.beta,
                               self.running_mean.data, self.running_var.data,
-                              self.training, self.momentum, self.eps)
+                              self.training)
 
 
 class LayerNorm(Module):
-    """Last-axis normalization for token tensors."""
+    """Last-axis normalization for token tensors (``ops.layer_norm``'s eps)."""
 
-    def __init__(self, dim, eps=1e-6):
+    def __init__(self, dim):
         super().__init__()
-        self.dim, self.eps = dim, eps
+        self.dim = dim
         self.gamma = self.add_param("gamma", (dim,))
         self.beta = self.add_param("beta", (dim,))
 
     def forward(self, x):
-        return ops.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ops.layer_norm(x, self.gamma, self.beta)
 
 
 class LayerNorm2d(LayerNorm):

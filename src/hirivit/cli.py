@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -13,10 +14,10 @@ import numpy as np
 
 from .analyzer import (count_flops, scaling_csv, scaling_report, scaling_table,
                        verify_reference_costs)
-from .config import parse_config, serialize_config
+from .config import parse_config
 from .errors import ConfigError, ResolutionError, ShapeError
 from .params import save_checkpoint
-from .zoo import Model, build_model, hiri_config, hiri_micro_config, mvit_config
+from .zoo import Model, build_model, hiri_config, hiri_micro_config
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -41,26 +42,17 @@ def _load_config(args, default=None):
 
 def cmd_analyze(args) -> int:
     resolutions = args.res or [224, 384, 448]
-    if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+    cfg = _load_config(args)
+    name = cfg.name if args.config else args.variant
 
-        def builder(_v, res):
-            import dataclasses
-            return Model(dataclasses.replace(cfg, resolution=(res, res)))
+    def builder(_name, res):
+        return Model(dataclasses.replace(cfg, resolution=(res, res)))
 
-        name = cfg.name
-        rows = scaling_report([name], resolutions, builder=builder)
-    else:
-        name = args.variant
-        builder = None
-        rows = scaling_report([name], resolutions)
+    rows = scaling_report([name], resolutions, builder=builder)
     text = scaling_csv(rows) if args.format == "csv" else scaling_table(rows)
     if args.detail:
         res = resolutions[0]
-        model = builder(name, res) if builder else \
-            Model(hiri_config(args.variant, res))
-        rep = count_flops(model, res)
+        rep = count_flops(builder(name, res), res)
         detail = rep.to_csv(depth=2) if args.format == "csv" else rep.to_table(depth=2)
         text += "\nper-block breakdown @" + str(res) + "\n" + detail
     if args.out:

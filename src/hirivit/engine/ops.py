@@ -6,10 +6,10 @@ Conventions
 * Reductions over the key/value token axis inside attention are bitwise
   invariant to a permutation of that axis. The softmax denominator sums in
   value-sorted order; the attention-times-values product (``ordered_matmul``)
-  contracts in one canonical key order per (batch, head) and computes each
-  query row on its own, so a permutation of the query rows permutes its
-  output rows bitwise. The query-key product (``matmul``) is a plain BLAS
-  call and carries no such guarantee.
+  contracts in one canonical key order per (batch, head), ordered by each
+  key's bytes, and computes each query row on its own, so a permutation of
+  the query rows permutes its output rows bitwise. The query-key product
+  (``matmul``) is a plain BLAS call and carries no such guarantee.
 * Forward kernels for conv/linear/matmul dispatch through a swappable
   backend so an instrumented MAC-counting executor, or the shape-only
   executor of the cost analyzer, can drive the same graph.
@@ -215,14 +215,15 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul, bitwise permutation-equivariant in both token axes.
 
     Used for the attention x values product. For each leading (batch, head)
-    index the contracted key/value axis is put in one canonical order
-    (``np.lexsort`` with the rows of ``b`` as primary keys and the columns of
-    ``a`` as the tie-break, so keys that still tie contribute identical
-    terms), and each output row is then its own ``(1, k) @ (k, p)`` product.
-    A joint permutation of the contracted axis therefore leaves the output
-    bitwise unchanged, and a permutation of the rows of ``a`` permutes the
-    output rows bitwise. A single GEMM would not do: the result for a row can
-    depend on the row's position in the block.
+    index the contracted key/value axis is put in one canonical order: each
+    key is the bytes of its row of ``b`` followed by its column of ``a``,
+    and a stable sort of those byte strings orders the keys, so keys that
+    tie are identical and contribute identical terms. Each output row is
+    then its own ``(1, k) @ (k, p)`` product. A joint permutation of the
+    contracted axis therefore leaves the output bitwise unchanged, and a
+    permutation of the rows of ``a`` permutes the output rows bitwise. A
+    single GEMM would not do: the result for a row can depend on the row's
+    position in the block.
     """
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
@@ -235,12 +236,13 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
         (m, k), p = a.shape[-2:], b.shape[-1]
         a3 = np.broadcast_to(a.data, lead + (m, k)).reshape(-1, m, k)
         b3 = np.broadcast_to(b.data, lead + (k, p)).reshape(-1, k, p)
-        # lexsort's last key is the primary one
-        keys = np.concatenate([np.moveaxis(a3, 1, 0)[::-1],
-                               np.moveaxis(b3, 2, 0)[::-1]])
-        order = np.lexsort(keys, axis=-1)
-        a3 = np.take_along_axis(a3, order[:, None, :], axis=-1)
-        b3 = np.take_along_axis(b3, order[:, :, None], axis=-2)
+        # (batch, key, value row + attention column), one void item per key
+        keys = np.ascontiguousarray(
+            np.concatenate([b3, np.swapaxes(a3, 1, 2)], axis=-1))
+        items = keys.view(np.dtype((np.void, keys.strides[1])))[..., 0]
+        order = np.argsort(items, axis=-1, kind="stable")
+        keys = keys[np.arange(len(keys))[:, None], order]
+        a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
         data = np.matmul(a3[:, :, None, :], b3[:, None, :, :]).reshape(lead + (m, p))
     return _matmul_result(data, a, b, "ordered_matmul")
 

@@ -95,10 +95,10 @@ class ParamTree:
         return all(np.allclose(t.data, other[p].data, atol=atol) for p, t in self.items())
 
 
-def truncated_normal(rng: np.random.Generator, shape, std=0.02, clip=2.0):
-    """Normal(0, std) with rejection outside +-clip standard deviations."""
+def truncated_normal(rng: np.random.Generator, shape, std=0.02):
+    """Normal(0, std) with rejection outside +-2 standard deviations."""
     x = rng.standard_normal(shape) * std
-    bound = clip * std
+    bound = 2.0 * std
     bad = np.abs(x) > bound
     while bad.any():
         x[bad] = rng.standard_normal(int(bad.sum())) * std

@@ -21,19 +21,19 @@ import numpy as np
 from ..engine import Tensor, backward, no_grad
 from ..errors import ConfigError
 from .distill import distill_target, soft_cross_entropy
-from .ema import ema_init, ema_update
+from .ema import EmaState, ema_init, ema_update
 from .mixing import cutmix, mixup
 from .optim import AdamW, cosine_schedule
+
+
+BASE_LR = 3e-3          # peak of the warmup + cosine schedule
+WARMUP_STEPS = 10
 
 
 @dataclass
 class TrainConfig:
     steps: int = 200
     batch_size: int = 16
-    base_lr: float = 3e-3
-    warmup_steps: int = 10
-    weight_decay: float = 0.05
-    betas: tuple = (0.9, 0.999)
     alpha: float = 0.5            # mixed-label vs teacher-label tradeoff
     ema_decay: float = 0.9998
     mix: str = "cutmix"           # "cutmix" | "mixup" | "none"
@@ -76,8 +76,9 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
                metrics_stream=None):
     """Run the loop; returns (records, student tree, EMA teacher state).
 
-    ``teacher_model`` is a second structurally-identical model used to
-    evaluate the EMA weights; required whenever ``alpha < 1``.
+    ``teacher_model`` is a second structurally-identical model whose own
+    parameter tree holds the EMA weights (it starts as a copy of the
+    student); required whenever ``alpha < 1``.
     """
     if config.mix not in ("cutmix", "mixup", "none"):
         raise ConfigError(f"unknown mix kind {config.mix!r}")
@@ -88,15 +89,15 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
     if config.alpha < 1.0 and teacher_model is None:
         raise ConfigError("distillation (alpha < 1) needs a teacher model")
 
-    warmup = min(config.warmup_steps, config.steps - 1)
+    warmup = min(WARMUP_STEPS, config.steps - 1)
     rng = np.random.default_rng(config.seed)
     tree = model.param_tree()
-    opt = AdamW(tree, lr=config.base_lr, betas=config.betas,
-                weight_decay=config.weight_decay)
-    ema = ema_init(tree, config.ema_decay)
-    if teacher_model is not None:
-        teacher_tree = teacher_model.param_tree()
-        ema.tree.copy_into(teacher_tree)
+    opt = AdamW(tree, lr=BASE_LR)
+    if teacher_model is None:
+        ema = ema_init(tree, config.ema_decay)
+    else:
+        ema = EmaState(teacher_model.param_tree(), config.ema_decay)
+        tree.copy_into(ema.tree)
 
     records = []
     model.train(True)
@@ -115,7 +116,6 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
             x_in, y_mix, mask, lam = images, onehot, None, 1.0
 
         if config.alpha < 1.0 and use_mix:
-            ema.tree.copy_into(teacher_tree)
             target = distill_target(teacher_model, images, perm,
                                     mask, y_mix, config.alpha, lam=lam).y_target
         else:
@@ -130,7 +130,7 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
                   f"labels {labels.tolist()}", file=sys.stderr)
             raise TrainingDiverged(step, loss_val, step * config.batch_size)
         backward(loss)
-        lr = cosine_schedule(step - 1, config.steps, warmup, config.base_lr)
+        lr = cosine_schedule(step - 1, config.steps, warmup, BASE_LR)
         opt.step(lr)
         ema_update(ema, tree)
 

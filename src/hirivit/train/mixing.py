@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CUTMIX_BETA = 1.0     # rectangle area ~ Beta(1, 1), i.e. uniform
+MIXUP_BETA = 0.8
+
 
 @dataclass
 class MixedSample:
@@ -40,11 +43,11 @@ def sample_rectangle(h: int, w: int, area_frac: float, rng: np.random.Generator)
 
 
 def cutmix(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray,
-           rng: np.random.Generator, beta: float = 1.0) -> MixedSample:
+           rng: np.random.Generator) -> MixedSample:
     """Paste a rectangle of ``xa`` over ``xb``; mix labels by realized area."""
     _check_pair(xa, ya, xb, yb)
     h, w = xa.shape[-2:]
-    area = float(rng.beta(beta, beta))
+    area = float(rng.beta(CUTMIX_BETA, CUTMIX_BETA))
     y1, y2, x1, x2 = sample_rectangle(h, w, area, rng)
     mask = np.zeros((h, w))
     mask[y1:y2, x1:x2] = 1.0
@@ -55,10 +58,10 @@ def cutmix(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray,
 
 
 def mixup(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray,
-          rng: np.random.Generator, beta: float = 0.8) -> MixedSample:
-    """Convex pixel blend with lam ~ Beta(beta, beta); no mask."""
+          rng: np.random.Generator) -> MixedSample:
+    """Convex pixel blend with lam ~ Beta(MIXUP_BETA, MIXUP_BETA); no mask."""
     _check_pair(xa, ya, xb, yb)
-    lam = float(rng.beta(beta, beta))
+    lam = float(rng.beta(MIXUP_BETA, MIXUP_BETA))
     return MixedSample(
         image=lam * xa + (1.0 - lam) * xb,
         label=lam * ya + (1.0 - lam) * yb,

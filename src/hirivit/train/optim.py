@@ -19,19 +19,16 @@ def cosine_schedule(step: int, total_steps: int, warmup_steps: int,
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * min(progress, 1.0)))
 
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
+
 class AdamW:
     """Decoupled-weight-decay Adam over the trainable entries of a tree."""
 
-    def __init__(self, tree: ParamTree, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.05):
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
-        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {betas}")
+    def __init__(self, tree: ParamTree, lr: float = 1e-3, weight_decay: float = 0.05):
         self.tree = tree
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {p: np.zeros_like(t.data) for p, t in tree.trainable_items()}
@@ -44,7 +41,7 @@ class AdamW:
     def step(self, lr: float | None = None):
         """One update from the gradients currently stored on the tree."""
         lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -60,4 +57,4 @@ class AdamW:
             v += (1 - b2) * g * g
             if self.weight_decay:
                 tensor.data -= lr * self.weight_decay * tensor.data
-            tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -148,28 +148,35 @@ REFERENCE_RESOLUTION = 448
 HEAD_HIDDEN = 2048
 
 
-def hiri_config(variant: str, resolution: int = REFERENCE_RESOLUTION,
-                num_classes: int = 1000) -> ModelConfig:
-    if variant not in HIRI_VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of S, B, L")
-    stages = []
-    for i, (kind, depth, channels, expansion, heads) in enumerate(HIRI_VARIANTS[variant]):
-        stages.append(StageSpec(
-            kind=kind, depth=depth, channels=channels, expansion=expansion,
-            heads=heads, sr_ratio=SR_RATIOS.get(i, 1),
-            norm="bn", attn_norm="ln", kv_reduce="pool"))
+def _five_stage_config(name, table, sr_ratios, resolution, num_classes,
+                       head_hidden, anchor_resolution) -> ModelConfig:
+    """The five-stage recipe: high-resolution stem, IRDS-a, a, b, b
+    downsamplers, BN before every (C)FFN and LN before attention."""
+    stages = [StageSpec(kind=kind, depth=depth, channels=channels,
+                        expansion=expansion, heads=heads,
+                        sr_ratio=sr_ratios.get(i, 1), norm="bn", attn_norm="ln")
+              for i, (kind, depth, channels, expansion, heads) in enumerate(table)]
     cfg = ModelConfig(
-        name=f"hiri_{variant.lower()}",
+        name=name,
         resolution=(resolution, resolution),
         num_classes=num_classes,
         stem="hr",
         stages=stages,
         downsamplers=["irds_a", "irds_a", "irds_b", "irds_b"],
-        head_hidden=HEAD_HIDDEN,
-        anchor_resolution=REFERENCE_RESOLUTION,
+        head_hidden=head_hidden,
+        anchor_resolution=anchor_resolution,
     )
     cfg.validate()
     return cfg
+
+
+def hiri_config(variant: str, resolution: int = REFERENCE_RESOLUTION,
+                num_classes: int = 1000) -> ModelConfig:
+    if variant not in HIRI_VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of S, B, L")
+    return _five_stage_config(f"hiri_{variant.lower()}", HIRI_VARIANTS[variant],
+                              SR_RATIOS, resolution, num_classes, HEAD_HIDDEN,
+                              REFERENCE_RESOLUTION)
 
 
 def build_hiri_vit(variant: str, resolution: int = REFERENCE_RESOLUTION,
@@ -184,21 +191,8 @@ def hiri_micro_config(resolution: int = 64, num_classes: int = 2) -> ModelConfig
     table = [("hr", 1, 8, 4, None), ("hr", 1, 16, 4, None),
              ("cffn", 1, 24, 4, None), ("transformer", 1, 32, 4, 2),
              ("transformer", 1, 40, 4, 4)]
-    stages = [StageSpec(kind=k, depth=d, channels=c, expansion=e, heads=h,
-                        sr_ratio=1, norm="bn", attn_norm="ln")
-              for k, d, c, e, h in table]
-    cfg = ModelConfig(
-        name="hiri_micro",
-        resolution=(resolution, resolution),
-        num_classes=num_classes,
-        stem="hr",
-        stages=stages,
-        downsamplers=["irds_a", "irds_a", "irds_b", "irds_b"],
-        head_hidden=None,
-        anchor_resolution=None,
-    )
-    cfg.validate()
-    return cfg
+    return _five_stage_config("hiri_micro", table, {}, resolution, num_classes,
+                              None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +223,7 @@ def mvit_config(row: int = 6, resolution: int = 224,
         raise ConfigError(f"ladder row must be 1..6, got {row}")
     use_cffn = row >= 2
     early_mha = row < 3
-    norm_early = "bn" if row >= 4 else "ln"
-    norm_ffn_late = "bn" if row >= 4 else "ln"
+    norm = "bn" if row >= 4 else "ln"
     stem = "conv" if row >= 5 else "vit"
     ds = ["irds_a", "irds_a", "irds_b"] if row >= 6 else ["conv", "conv", "conv"]
 
@@ -239,14 +232,12 @@ def mvit_config(row: int = 6, resolution: int = 224,
         if i < 2 and not early_mha:
             stages.append(StageSpec(
                 kind="cffn", depth=MVIT_DEPTHS[i], channels=MVIT_CHANNELS[i],
-                expansion=MVIT_WIDE_EXPANSION, norm=norm_early))
+                expansion=MVIT_WIDE_EXPANSION, norm=norm))
         else:
-            kind = "transformer"
-            ffn_norm = norm_early if i < 2 else (norm_ffn_late if use_cffn else "ln")
             stages.append(StageSpec(
-                kind=kind, depth=MVIT_DEPTHS[i], channels=MVIT_CHANNELS[i],
+                kind="transformer", depth=MVIT_DEPTHS[i], channels=MVIT_CHANNELS[i],
                 expansion=MVIT_EXPANSIONS[i], heads=MVIT_HEADS[i],
-                sr_ratio=MVIT_SR[i], norm=ffn_norm, attn_norm="ln",
+                sr_ratio=MVIT_SR[i], norm=norm, attn_norm="ln",
                 use_cffn=use_cffn, kv_reduce="conv" if MVIT_SR[i] > 1 else "none"))
     cfg = ModelConfig(
         name=f"mvit_row{row}_{MVIT_ROW_NAMES[row]}",

@@ -94,3 +94,22 @@ def test_verify_tables_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 19
+
+
+def test_analyze_without_variant_or_config_exits_2(capsys):
+    assert main(["analyze", "--res", "224"]) == 2
+    assert "pass --variant or --config" in capsys.readouterr().err
+
+
+def test_analyze_config_matches_variant(tmp_path, capsys):
+    """A config file of a published variant reports that variant's costs."""
+    from hirivit.zoo import hiri_config
+
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(serialize_config(hiri_config("S", 448)))
+    reports = []
+    for source in (["--variant", "S"], ["--config", str(cfg_path)]):
+        assert main(["analyze", *source, "--res", "224,448", "--format", "csv",
+                     "--detail"]) == 0
+        reports.append(capsys.readouterr().out.replace("hiri_s,", "S,"))
+    assert reports[0] == reports[1]

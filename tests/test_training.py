@@ -509,3 +509,33 @@ def test_metrics_header_matches_rows():
     assert METRICS_HEADER == "step,loss,lr,train_acc\n"
     assert row.endswith("\n")
     assert len(METRICS_HEADER.split(",")) == len(row.split(",")) == 4
+
+
+def _ema_run(teacher_seed, alpha, with_teacher=True):
+    cfg = hiri_micro_config(resolution=32)
+    model, _ = build_model(cfg, seed=7)
+    teacher, _ = build_model(cfg, seed=teacher_seed)
+    data = SyntheticQuadrants(image_size=32, num_classes=2, seed=7)
+    tc = TrainConfig(steps=4, batch_size=4, alpha=alpha, ema_decay=0.5,
+                     mix_prob=1.0, seed=7)
+    _, tree, ema = train_loop(model, data, tc,
+                              teacher_model=teacher if with_teacher else None)
+    return teacher, tree, ema
+
+
+def test_teacher_model_holds_the_ema_weights():
+    """After the loop every teacher parameter is the EMA weight, bitwise."""
+    teacher, tree, ema = _ema_run(teacher_seed=8, alpha=0.5)
+    teacher_tree = teacher.param_tree()
+    assert teacher_tree.paths() == ema.tree.paths()
+    for p, t in teacher_tree.items():
+        assert np.array_equal(t.data, ema.tree[p].data), p
+    # the EMA has moved off the student, so the comparison is not vacuous
+    assert not all(np.array_equal(t.data, ema.tree[p].data) for p, t in tree.items())
+
+
+def test_ema_starts_from_the_student_not_the_teacher_init():
+    _, _, with_teacher = _ema_run(teacher_seed=8, alpha=1.0)
+    _, _, without = _ema_run(teacher_seed=8, alpha=1.0, with_teacher=False)
+    for p, t in without.tree.items():
+        assert np.array_equal(t.data, with_teacher.tree[p].data), p
