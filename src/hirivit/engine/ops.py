@@ -2,7 +2,13 @@
 
 Conventions
 -----------
-* conv2d implements cross-correlation (no kernel flip).
+* conv2d implements cross-correlation (no kernel flip). Forward is im2col
+  plus one GEMM per sample and group. Backward rebuilds the patch matrix
+  and forms the weight gradient as the same GEMMs of ``g`` against it,
+  summed over the batch. For stride 1 the input gradient is the forward
+  kernel applied to ``g`` with the flipped, channel-transposed kernel at
+  padding ``k - 1 - p``; strided convs scatter-add the column gradient one
+  kernel tap at a time. An input that does not require grad gets none.
 * Reductions over the key/value token axis inside attention are bitwise
   invariant to a permutation of that axis. The softmax denominator sums in
   value-sorted order; the attention-times-values product (``ordered_matmul``)
@@ -281,15 +287,25 @@ def _conv_out_hw(h, w, kh, kw, sh, sw, ph, pw):
     return oh, ow
 
 
+def _pad(x, ph, pw):
+    """Zero-pad the two spatial axes of an NCHW array (np.pad is slower)."""
+    if not (ph or pw):
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 def _im2col(xp, kh, kw, sh, sw, groups):
     """(N, Cin, Hp, Wp) -> (N, g, cing*kh*kw, L) patch matrix."""
     n, cin, hp, wp = xp.shape
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]                      # (N, Cin, OH, OW, kh, kw)
-    oh, ow = win.shape[2], win.shape[3]
-    cing = cin // groups
-    win = win.transpose(0, 1, 4, 5, 2, 3)            # (N, Cin, kh, kw, OH, OW)
-    cols = win.reshape(n, groups, cing * kh * kw, oh * ow)
+    oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(           # (N, Cin, kh, kw, OH, OW)
+        xp, (n, cin, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * sh, s3 * sw),
+        writeable=False)
+    cols = win.reshape(n, groups, cin // groups * kh * kw, oh * ow)
     return np.ascontiguousarray(cols), oh, ow
 
 
@@ -298,14 +314,29 @@ def _conv2d_fast(x, w, bias, stride, padding, groups):
     cout, cing, kh, kw = w.shape
     sh, sw = stride
     ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    cols, oh, ow = _im2col(xp, kh, kw, sh, sw, groups)
+    cols, oh, ow = _im2col(_pad(x, ph, pw), kh, kw, sh, sw, groups)
     w2 = w.reshape(groups, cout // groups, cing * kh * kw)
     out = np.matmul(w2, cols)                        # (N, g, coutg, L)
     out = out.reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.reshape(1, cout, 1, 1)
     return out
+
+
+def _conv2d_input_grad(g, w, padding, groups):
+    """Input gradient of a stride-1 conv: ``g`` correlated with the flipped,
+    channel-transposed kernel at padding ``k - 1 - p``.
+
+    A padding beyond ``k - 1`` crops ``g`` instead.
+    """
+    cout, cing, kh, kw = w.shape
+    ph, pw = kh - 1 - padding[0], kw - 1 - padding[1]
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    if ch or cw:
+        g = g[:, :, ch:g.shape[2] - ch, cw:g.shape[3] - cw]
+    wt = w.reshape(groups, cout // groups, cing, kh, kw).swapaxes(1, 2)
+    wt = wt.reshape(groups * cing, cout // groups, kh, kw)[:, :, ::-1, ::-1]
+    return _conv2d_fast(g, wt, None, (1, 1), (max(ph, 0), max(pw, 0)), groups)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -337,25 +368,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                                     stride, padding, groups)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
+    coutg = cout // groups
+
     def bw(g):
-        # recompute patches; backward always uses the vectorized path
-        xp = (np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-              if (ph or pw) else x.data)
+        # weight gradient: the forward's patch matrix, rebuilt, times g
+        xp = _pad(x.data, ph, pw)
         cols, _, _ = _im2col(xp, kh, kw, sh, sw, groups)
-        coutg = cout // groups
         g4 = g.reshape(n, groups, coutg, oh * ow)
-        gw = np.einsum("ngol,ngkl->gok", g4, cols, optimize=True)
+        gw = np.matmul(g4, np.swapaxes(cols, -1, -2)).sum(axis=0)
         gw = gw.reshape(cout, cing, kh, kw)
-        w2 = weight.data.reshape(groups, coutg, cing * kh * kw)
-        gcols = np.matmul(np.swapaxes(w2, -1, -2), g4)   # (N, g, cing*kh*kw, L)
-        gcols = gcols.reshape(n, cin, kh, kw, oh, ow)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            hi = i + sh * oh
-            for j in range(kw):
-                wj = j + sw * ow
-                gxp[:, :, i:hi:sh, j:wj:sw] += gcols[:, :, i, j]
-        gx = gxp[:, :, ph:ph + h, pw:pw + w_in] if (ph or pw) else gxp
+        if not x.requires_grad:
+            gx = None
+        elif sh == sw == 1:
+            gx = _conv2d_input_grad(g, weight.data, padding, groups)
+        else:
+            # strided: scatter-add each kernel tap's column gradient
+            w2 = weight.data.reshape(groups, coutg, cing * kh * kw)
+            gcols = np.matmul(np.swapaxes(w2, -1, -2), g4)   # (N, g, cing*kh*kw, L)
+            gcols = gcols.reshape(n, cin, kh, kw, oh, ow)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                hi = i + sh * oh
+                for j in range(kw):
+                    wj = j + sw * ow
+                    gxp[:, :, i:hi:sh, j:wj:sw] += gcols[:, :, i, j]
+            gx = gxp[:, :, ph:ph + h, pw:pw + w_in] if (ph or pw) else gxp
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))
@@ -391,20 +428,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     if count < 1:
         raise ShapeError("batch_norm got an empty batch")
     axes = (0, 2, 3)
+    mean = x.data.mean(axis=axes) if training else running_mean
+    xc = x.data - mean.reshape(1, c, 1, 1)
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        var = (xc * xc).sum(axis=axes) / count      # what x.var(axes) computes
         unbiased = var * count / max(count - 1, 1)
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased
     else:
-        mean = running_mean
         var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xc = x.data - mean.reshape(1, c, 1, 1)
     xn = xc * inv.reshape(1, c, 1, 1)
     data = xn * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
 
@@ -533,10 +569,10 @@ def adaptive_avg_pool2d(x: Tensor, out_hw) -> Tensor:
             f"adaptive pool cannot map {h}x{w} onto {oh}x{ow}")
     rm = _pool_matrix(h, oh, x.dtype)
     cm = _pool_matrix(w, ow, x.dtype)
-    data = np.einsum("oh,nchw,pw->ncop", rm, x.data, cm, optimize=True)
+    data = rm @ x.data @ cm.T
 
     def bw(g):
-        return (np.einsum("oh,ncop,pw->nchw", rm, g, cm, optimize=True),)
+        return (rm.T @ g @ cm,)
 
     return make_result(data, (x,), "adaptive_avg_pool2d", bw)
 

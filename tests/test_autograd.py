@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hirivit.engine import Tensor, backward, grad_check, no_grad, ops
+from hirivit.engine import Tensor, backward, grad_check, loop_conv2d, no_grad, ops
 
 
 def t(a, rg=True):
@@ -75,7 +75,33 @@ def _weighted_sum(y: Tensor, rng) -> Tensor:
     return ops.tsum(ops.mul(y, w))
 
 
+# conv2d at batch >= 2, one case per backward path:
+# name -> (x shape, weight shape, stride, padding, groups)
+CONV_CASES = {
+    "1x1": ((2, 3, 4, 5), (4, 3, 1, 1), 1, 0, 1),
+    "1x1_pad1": ((2, 3, 3, 3), (2, 3, 1, 1), 1, 1, 1),
+    "dw_s1": ((2, 3, 5, 5), (3, 1, 3, 3), 1, 1, 3),
+    "dw_s2": ((2, 3, 6, 6), (3, 1, 3, 3), 2, 1, 3),
+    "groups2_s1": ((2, 4, 5, 4), (6, 2, 3, 3), 1, 1, 2),
+    "groups2_s2": ((2, 4, 6, 6), (6, 2, 3, 3), 2, 1, 2),
+    "dense_pad0": ((2, 2, 5, 6), (3, 2, 3, 3), 1, 0, 1),
+    "dense_5x5_pad1": ((2, 2, 6, 6), (3, 2, 5, 5), 1, 1, 1),
+    "ragged_s2": ((2, 2, 6, 6), (3, 2, 3, 3), 2, 1, 1),      # (6+2-3) % 2 = 1
+    "ragged_s3_pad0": ((3, 2, 8, 7), (2, 2, 3, 3), 3, 0, 1),  # 5 % 3, 4 % 3
+}
+
+
+def _conv_case(name):
+    xs, ws, s, p, groups = CONV_CASES[name]
+    return lambda rng: (
+        {"x": t(rng.standard_normal(xs)),
+         "w": t(rng.standard_normal(ws)),
+         "b": t(rng.standard_normal(ws[0]))},
+        lambda v: ops.conv2d(v["x"], v["w"], v["b"], stride=s, padding=p, groups=groups))
+
+
 OP_CASES = {
+    **{f"conv2d_{name}": _conv_case(name) for name in CONV_CASES},
     "conv2d": lambda rng: (
         {"x": t(rng.standard_normal((1, 2, 5, 5))),
          "w": t(rng.standard_normal((4, 2, 3, 3))),
@@ -143,6 +169,42 @@ def test_op_gradients_match_finite_differences(op_name, seed):
 
     report = grad_check(f, tensors, h=1e-5, tol=1e-4)
     assert report.passed, f"{op_name}: rel err {report.max_rel_err:.2e} on {report.worst}"
+
+
+@pytest.mark.parametrize("name", sorted(CONV_CASES))
+def test_conv2d_forward_matches_loop_reference(name):
+    tensors, apply = _conv_case(name)(np.random.default_rng(0))
+    _, _, s, p, groups = CONV_CASES[name]
+    ref = loop_conv2d(tensors["x"].data, tensors["w"].data, tensors["b"].data,
+                      (s, s), (p, p), groups)
+    y = apply(tensors)
+    assert y.shape == ref.shape and np.abs(y.data - ref).max() < 1e-12
+
+
+def _conv_grads(name, x_requires_grad):
+    tensors, apply = _conv_case(name)(np.random.default_rng(5))
+    tensors["x"].requires_grad = x_requires_grad
+    y = apply(tensors)
+    backward(ops.tsum(ops.mul(y, t(np.random.default_rng(9).standard_normal(y.shape)))))
+    return [tensors[k].grad for k in ("x", "w", "b")]
+
+
+@pytest.mark.parametrize("name", sorted(CONV_CASES))
+def test_conv2d_gradients_bitwise_repeatable(name):
+    for a, b in zip(_conv_grads(name, True), _conv_grads(name, True)):
+        assert (a == b).all()
+
+
+@pytest.mark.parametrize("name", ["dense_pad0", "dw_s1", "ragged_s2"])
+def test_conv2d_input_without_grad_gets_none(name):
+    tensors, apply = _conv_case(name)(np.random.default_rng(5))
+    tensors["x"].requires_grad = False
+    y = apply(tensors)
+    assert y._backward(np.ones(y.shape))[0] is None     # not computed at all
+    gx_off, gw_off, gb_off = _conv_grads(name, False)
+    gx_on, gw_on, gb_on = _conv_grads(name, True)
+    assert gx_off is None and gx_on is not None
+    assert (gw_off == gw_on).all() and (gb_off == gb_on).all()
 
 
 def test_gelu_derivative_17_points():

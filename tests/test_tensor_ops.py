@@ -212,6 +212,18 @@ class TestBatchNorm:
         ref = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
         np.testing.assert_allclose(y.data, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 32, 32, 32), (1, 64, 112, 112), (16, 192, 4, 4)])
+    def test_training_variance_bitwise_equals_numpy_var(self, shape):
+        # momentum 1: the buffers hold the batch mean and the unbiased variance
+        x = np.random.default_rng(13).standard_normal(shape) * 3 + 0.5
+        c = shape[1]
+        count = shape[0] * shape[2] * shape[3]
+        rm, rv = np.zeros(c), np.zeros(c)
+        ops.batch_norm(t(x), t(np.ones(c)), t(np.zeros(c)), rm, rv, True, momentum=1.0)
+        expect = x.var(axis=(0, 2, 3)) * count / (count - 1)
+        assert (rv == expect).all()
+        assert (rm == x.mean(axis=(0, 2, 3))).all()
+
     def test_errors(self):
         with pytest.raises(ShapeError):
             self._bn(np.ones((0, 1, 2, 2)), np.ones(1), np.zeros(1))
@@ -287,6 +299,29 @@ class TestSpatial:
     def test_adaptive_pool_identity(self):
         x = t(np.arange(8.0).reshape(1, 2, 2, 2))
         np.testing.assert_array_equal(ops.adaptive_avg_pool2d(x, (2, 2)).data, x.data)
+
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((2, 3, 7, 7), (4, 4)), ((2, 2, 14, 10), (7, 5)), ((1, 2, 9, 6), (4, 3)),
+        ((2, 1, 5, 5), (5, 5)), ((1, 2, 8, 8), (1, 1)), ((1, 3, 56, 56), (7, 7))])
+    def test_adaptive_pool_vs_loop(self, shape, out_hw):
+        rng = np.random.default_rng(19)
+        n, c, h, w = shape
+        oh, ow = out_hw
+        x = t(rng.standard_normal(shape), rg=True)
+        g = rng.standard_normal((n, c, oh, ow))
+        ref = np.zeros((n, c, oh, ow))
+        ref_gx = np.zeros(shape)
+        for i in range(oh):
+            y0, y1 = (i * h) // oh, -(-(i + 1) * h // oh)
+            for j in range(ow):
+                x0, x1 = (j * w) // ow, -(-(j + 1) * w // ow)
+                area = (y1 - y0) * (x1 - x0)
+                ref[:, :, i, j] = x.data[:, :, y0:y1, x0:x1].sum(axis=(2, 3)) / area
+                ref_gx[:, :, y0:y1, x0:x1] += (g[:, :, i, j] / area)[:, :, None, None]
+        y = ops.adaptive_avg_pool2d(x, out_hw)
+        assert np.abs(y.data - ref).max() < 1e-14
+        (gx,) = y._backward(g)
+        assert np.abs(gx - ref_gx).max() < 1e-14
 
     def test_adaptive_pool_rejects_upsampling(self):
         with pytest.raises(ResolutionError):
