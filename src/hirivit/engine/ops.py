@@ -3,12 +3,16 @@
 Conventions
 -----------
 * conv2d implements cross-correlation (no kernel flip). Forward is im2col
-  plus one GEMM per sample and group. Backward rebuilds the patch matrix
-  and forms the weight gradient as the same GEMMs of ``g`` against it,
-  summed over the batch. For stride 1 the input gradient is the forward
-  kernel applied to ``g`` with the flipped, channel-transposed kernel at
-  padding ``k - 1 - p``; strided convs scatter-add the column gradient one
-  kernel tap at a time. An input that does not require grad gets none.
+  plus one GEMM per sample and group, in L2-sized blocks of groups: each
+  block's patch matrix is built and multiplied before the next block's is
+  built, so it is read back from cache, not from memory. Backward rebuilds
+  the patch matrix block by block and forms the weight gradient as the
+  same GEMMs of ``g`` against it, summed over the batch. For stride 1 the
+  input gradient is the forward kernel applied to ``g`` with the flipped,
+  channel-transposed kernel at padding ``k - 1 - p``; strided convs
+  scatter-add the column gradient one kernel tap at a time. An input that
+  does not require grad gets none. Blocking changes no GEMM, so results do
+  not depend on the block size.
 * Reductions over the key/value token axis inside attention are bitwise
   invariant to a permutation of that axis. The softmax denominator sums in
   value-sorted order; the attention-times-values product (``ordered_matmul``)
@@ -33,6 +37,10 @@ from .tensor import Tensor, make_result
 
 INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# Patch-matrix bytes per block of conv groups. Measured on a 2 MB-per-core L2
+# host, 256 KB to 1 MB blocks ran the depthwise shapes of HiRI-ViT-S@448 and
+# the micro model equally fast, and 2 MB and up ran them slower.
+CONV_BLOCK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +305,48 @@ def _pad(x, ph, pw):
     return xp
 
 
-def _im2col(xp, kh, kw, sh, sw, groups):
-    """(N, Cin, Hp, Wp) -> (N, g, cing*kh*kw, L) patch matrix."""
+def _windows(x, kh, kw, stride, padding, groups):
+    """(N, g, cing, kh, kw, OH, OW) window view of the zero-padded input."""
+    xp = _pad(x, *padding)
     n, cin, hp, wp = xp.shape
+    sh, sw = stride
     oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    cing = cin // groups
     s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(           # (N, Cin, kh, kw, OH, OW)
-        xp, (n, cin, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * sh, s3 * sw),
-        writeable=False)
-    cols = win.reshape(n, groups, cin // groups * kh * kw, oh * ow)
-    return np.ascontiguousarray(cols), oh, ow
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, groups, cing, kh, kw, oh, ow),
+        (s0, s1 * cing, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
+
+
+def _group_blocks(win):
+    """Yield ``(g0, g1, cols)`` over consecutive blocks of whole groups.
+
+    ``cols`` is the ``(N, g1 - g0, cing*kh*kw, OH*OW)`` patch matrix of
+    groups ``g0 .. g1-1``. A block holds as many groups as fit in
+    ``CONV_BLOCK_BYTES`` (at least one), so its patch matrix is still in
+    cache when its GEMMs read it. An ungrouped conv is one block, and a 1x1
+    stride-1 conv without padding gets a view of its input, not a copy.
+    """
+    n, groups, cing, kh, kw, oh, ow = win.shape
+    k, length = cing * kh * kw, oh * ow
+    step = max(1, CONV_BLOCK_BYTES // max(n * k * length * win.itemsize, 1))
+    for g0 in range(0, groups, step):
+        g1 = min(g0 + step, groups)
+        yield g0, g1, np.ascontiguousarray(win[:, g0:g1].reshape(n, g1 - g0, k, length))
 
 
 def _conv2d_fast(x, w, bias, stride, padding, groups):
-    n, cin, h, wd = x.shape
+    n = x.shape[0]
     cout, cing, kh, kw = w.shape
-    sh, sw = stride
-    ph, pw = padding
-    cols, oh, ow = _im2col(_pad(x, ph, pw), kh, kw, sh, sw, groups)
+    win = _windows(x, kh, kw, stride, padding, groups)
+    oh, ow = win.shape[-2:]
     w2 = w.reshape(groups, cout // groups, cing * kh * kw)
-    out = np.matmul(w2, cols)                        # (N, g, coutg, L)
+    out = np.empty((n, groups, cout // groups, oh * ow), dtype=np.result_type(x, w))
+    for g0, g1, cols in _group_blocks(win):
+        np.matmul(w2[g0:g1], cols, out=out[:, g0:g1])
     out = out.reshape(n, cout, oh, ow)
     if bias is not None:
-        out = out + bias.reshape(1, cout, 1, 1)
+        out += bias.reshape(1, cout, 1, 1)
     return out
 
 
@@ -371,28 +398,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     coutg = cout // groups
 
     def bw(g):
-        # weight gradient: the forward's patch matrix, rebuilt, times g
-        xp = _pad(x.data, ph, pw)
-        cols, _, _ = _im2col(xp, kh, kw, sh, sw, groups)
+        # One pass over blocks of groups: the weight gradient is g times the
+        # forward's patch matrix, rebuilt; a strided conv's input gradient
+        # scatter-adds each kernel tap's column gradient. Stride-1 input
+        # gradients run the forward kernel instead.
+        win = _windows(x.data, kh, kw, stride, padding, groups)
         g4 = g.reshape(n, groups, coutg, oh * ow)
-        gw = np.matmul(g4, np.swapaxes(cols, -1, -2)).sum(axis=0)
+        gw = np.empty((groups, coutg, cing * kh * kw), dtype=g.dtype)
+        scatter = x.requires_grad and (sh, sw) != (1, 1)
+        if scatter:
+            w2t = np.swapaxes(weight.data.reshape(groups, coutg, cing * kh * kw), -1, -2)
+            gxp = np.zeros((n, cin, h + 2 * ph, w_in + 2 * pw), dtype=g.dtype)
+        for g0, g1, cols in _group_blocks(win):
+            np.matmul(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
+            if scatter:
+                gcols = np.matmul(w2t[g0:g1], g4[:, g0:g1])  # (N, gb, cing*kh*kw, L)
+                gcols = gcols.reshape(n, (g1 - g0) * cing, kh, kw, oh, ow)
+                gxb = gxp[:, g0 * cing:g1 * cing]
+                for i in range(kh):
+                    hi = i + sh * oh
+                    for j in range(kw):
+                        wj = j + sw * ow
+                        gxb[:, :, i:hi:sh, j:wj:sw] += gcols[:, :, i, j]
         gw = gw.reshape(cout, cing, kh, kw)
-        if not x.requires_grad:
-            gx = None
-        elif sh == sw == 1:
+        if scatter:
+            gx = gxp[:, :, ph:ph + h, pw:pw + w_in] if (ph or pw) else gxp
+        elif x.requires_grad:
             gx = _conv2d_input_grad(g, weight.data, padding, groups)
         else:
-            # strided: scatter-add each kernel tap's column gradient
-            w2 = weight.data.reshape(groups, coutg, cing * kh * kw)
-            gcols = np.matmul(np.swapaxes(w2, -1, -2), g4)   # (N, g, cing*kh*kw, L)
-            gcols = gcols.reshape(n, cin, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                hi = i + sh * oh
-                for j in range(kw):
-                    wj = j + sw * ow
-                    gxp[:, :, i:hi:sh, j:wj:sw] += gcols[:, :, i, j]
-            gx = gxp[:, :, ph:ph + h, pw:pw + w_in] if (ph or pw) else gxp
+            gx = None
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))
@@ -428,33 +462,39 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     if count < 1:
         raise ShapeError("batch_norm got an empty batch")
     axes = (0, 2, 3)
-    mean = x.data.mean(axis=axes) if training else running_mean
-    xc = x.data - mean.reshape(1, c, 1, 1)
+    cshape = (1, c, 1, 1)
     if training:
+        mean = x.data.mean(axis=axes)
+        xc = x.data - mean.reshape(cshape)
         var = (xc * xc).sum(axis=axes) / count      # what x.var(axes) computes
         unbiased = var * count / max(count - 1, 1)
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased
+        inv = 1.0 / np.sqrt(var + eps)
+        xn = xc * inv.reshape(cshape)
+        data = xn * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
     else:
-        var = running_var
-
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv.reshape(1, c, 1, 1)
-    data = xn * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
+        # the running statistics fold into one per-channel scale and shift
+        mean = running_mean.copy()
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * inv
+        data = x.data * scale.reshape(cshape)
+        data += (beta.data - mean * scale).reshape(cshape)
 
     def bw(g):
-        gvec = gamma.data.reshape(1, c, 1, 1)
-        ggamma = (g * xn).sum(axis=axes)
+        inv4 = inv.reshape(cshape)
+        gxn = g * gamma.data.reshape(cshape)
         gbeta = g.sum(axis=axes)
         if training:
-            gxn = g * gvec
-            m1 = gxn.mean(axis=axes).reshape(1, c, 1, 1)
-            m2 = (gxn * xn).mean(axis=axes).reshape(1, c, 1, 1)
-            gx = (gxn - m1 - xn * m2) * inv.reshape(1, c, 1, 1)
+            ggamma = (g * xn).sum(axis=axes)
+            m1 = gxn.mean(axis=axes).reshape(cshape)
+            m2 = (gxn * xn).mean(axis=axes).reshape(cshape)
+            gx = (gxn - m1 - xn * m2) * inv4
         else:
-            gx = g * gvec * inv.reshape(1, c, 1, 1)
+            ggamma = (g * ((x.data - mean.reshape(cshape)) * inv4)).sum(axis=axes)
+            gx = gxn * inv4
         return (gx, ggamma, gbeta)
 
     return make_result(data, (x, gamma, beta), "batch_norm", bw)

@@ -93,6 +93,35 @@ def loop_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     return out
 
 
+def loop_conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                      stride, padding, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input and weight gradients of :func:`loop_conv2d` for the output
+    gradient ``g``, by the same loops: each multiply ``x * w`` of an output
+    cell passes that cell's gradient back to both of its factors.
+    """
+    n, cin, h, wd = x.shape
+    cout, cing, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    coutg = cout // groups
+    for b in range(n):
+        for co in range(cout):
+            xc0 = (co // coutg) * cing
+            for oy in range(g.shape[2]):
+                for ox in range(g.shape[3]):
+                    go = g[b, co, oy, ox]
+                    for ci in range(cing):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                iy, ix = oy * sh + ky, ox * sw + kx
+                                gxp[b, xc0 + ci, iy, ix] += go * w[co, ci, ky, kx]
+                                gw[co, ci, ky, kx] += go * xp[b, xc0 + ci, iy, ix]
+    return gxp[:, :, ph:ph + h, pw:pw + wd], gw
+
+
 class CountingBackend:
     """Executes conv/linear/matmul through the loop kernels, counting MACs."""
 

@@ -99,10 +99,11 @@ def truncated_normal(rng: np.random.Generator, shape, std=0.02):
     """Normal(0, std) with rejection outside +-2 standard deviations."""
     x = rng.standard_normal(shape) * std
     bound = 2.0 * std
-    bad = np.abs(x) > bound
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(x) > bound
+    flat = x.reshape(-1)
+    redraw = np.flatnonzero(np.abs(flat) > bound)
+    while redraw.size:      # only the redrawn entries can still be out of bounds
+        flat[redraw] = rng.standard_normal(redraw.size) * std
+        redraw = redraw[np.abs(flat[redraw]) > bound]
     return x
 
 

@@ -1,9 +1,12 @@
 """Reverse-mode gradients: hand cases, finite differences, determinism."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from hirivit.engine import Tensor, backward, grad_check, loop_conv2d, no_grad, ops
+from hirivit.engine import (Tensor, backward, grad_check, loop_conv2d, loop_conv2d_grads,
+                            no_grad, ops)
 
 
 def t(a, rg=True):
@@ -100,6 +103,15 @@ def _conv_case(name):
         lambda v: ops.conv2d(v["x"], v["w"], v["b"], stride=s, padding=p, groups=groups))
 
 
+def _batch_norm_eval_case(rng):
+    rm, rv = rng.standard_normal(2), rng.uniform(0.5, 2.0, 2)
+    return (
+        {"x": t(rng.standard_normal((3, 2, 4, 4))),
+         "g": t(rng.standard_normal(2)),
+         "b": t(rng.standard_normal(2))},
+        lambda v: ops.batch_norm(v["x"], v["g"], v["b"], rm, rv, False))
+
+
 OP_CASES = {
     **{f"conv2d_{name}": _conv_case(name) for name in CONV_CASES},
     "conv2d": lambda rng: (
@@ -139,6 +151,7 @@ OP_CASES = {
          "b": t(rng.standard_normal(2))},
         lambda v: ops.batch_norm(v["x"], v["g"], v["b"],
                                  np.zeros(2), np.ones(2), True)),
+    "batch_norm_eval": _batch_norm_eval_case,
     "layer_norm": lambda rng: (
         {"x": t(rng.standard_normal((3, 5, 6))),
          "g": t(rng.standard_normal(6)),
@@ -159,7 +172,7 @@ OP_CASES = {
 @pytest.mark.parametrize("op_name", sorted(OP_CASES))
 @pytest.mark.parametrize("seed", range(5))
 def test_op_gradients_match_finite_differences(op_name, seed):
-    rng = np.random.default_rng(1000 * seed + hash(op_name) % 1000)
+    rng = np.random.default_rng(1000 * seed + zlib.crc32(op_name.encode()) % 1000)
     tensors, apply = OP_CASES[op_name](rng)
     wrng = np.random.default_rng(seed + 77)
     weight = Tensor(wrng.standard_normal(apply(tensors).shape))
@@ -205,6 +218,55 @@ def test_conv2d_input_without_grad_gets_none(name):
     gx_on, gw_on, gb_on = _conv_grads(name, True)
     assert gx_off is None and gx_on is not None
     assert (gw_off == gw_on).all() and (gb_off == gb_on).all()
+
+
+# Grouped convs that split into several blocks of groups once the block size
+# is shrunk: name -> (x shape, weight shape, stride, padding, groups)
+BLOCKED_CASES = {
+    "dw_s1": ((2, 7, 6, 6), (7, 1, 3, 3), 1, 1, 7),
+    "dw_s1_pad0": ((2, 5, 6, 5), (5, 1, 3, 3), 1, 0, 5),
+    "dw_s2": ((3, 7, 7, 7), (7, 1, 3, 3), 2, 1, 7),
+    "dw_s2_pad0": ((2, 5, 7, 7), (5, 1, 3, 3), 2, 0, 5),
+    "groups2_s1": ((2, 4, 5, 4), (6, 2, 3, 3), 1, 1, 2),
+    "groups2_s2_pad0": ((2, 4, 7, 6), (6, 2, 3, 3), 2, 0, 2),
+    "groups3_s1": ((2, 6, 5, 5), (9, 2, 3, 3), 1, 1, 3),
+}
+
+
+def _blocked_run(name, block_bytes, monkeypatch):
+    xs, ws, s, p, groups = BLOCKED_CASES[name]
+    monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(21)
+    x, w, b = t(rng.standard_normal(xs)), t(rng.standard_normal(ws)), t(rng.standard_normal(ws[0]))
+    y = ops.conv2d(x, w, b, stride=s, padding=p, groups=groups)
+    g = rng.standard_normal(y.shape)
+    backward(ops.tsum(ops.mul(y, t(g, rg=False))))
+    blocks = [g1 - g0 for g0, g1, _ in
+              ops._group_blocks(ops._windows(x.data, *ws[2:], (s, s), (p, p), groups))]
+    return (y.data, x.grad, w.grad, b.grad), blocks, g
+
+
+@pytest.mark.parametrize("name, groups_per_block", [
+    (name, k) for name in sorted(BLOCKED_CASES) for k in (1, 2) if BLOCKED_CASES[name][4] > k])
+def test_blocked_conv2d_matches_one_block_and_loops(name, groups_per_block, monkeypatch):
+    xs, ws, s, p, groups = BLOCKED_CASES[name]
+    n, _, h, w = xs
+    _, cing, kh, kw = ws
+    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    group_bytes = n * cing * kh * kw * oh * ow * 8
+    one, blocks_one, g = _blocked_run(name, 1 << 62, monkeypatch)
+    many, blocks, _ = _blocked_run(name, groups_per_block * group_bytes, monkeypatch)
+    assert blocks_one == [groups]
+    full, last = divmod(groups, groups_per_block)
+    assert blocks == [groups_per_block] * full + ([last] if last else [])
+    for a, b in zip(one, many):
+        assert (a == b).all()
+    rng = np.random.default_rng(21)
+    x, wt, bias = rng.standard_normal(xs), rng.standard_normal(ws), rng.standard_normal(ws[0])
+    gx, gw = loop_conv2d_grads(x, wt, g, (s, s), (p, p), groups)
+    refs = (loop_conv2d(x, wt, bias, (s, s), (p, p), groups), gx, gw, g.sum(axis=(0, 2, 3)))
+    for got, ref in zip(many, refs):
+        assert got.shape == ref.shape and np.abs(got - ref).max() < 1e-12
 
 
 def test_gelu_derivative_17_points():

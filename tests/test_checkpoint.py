@@ -163,6 +163,26 @@ class TestTruncatedNormal:
         assert (a == b).all()
         assert np.abs(a).max() <= 0.04
 
+    @staticmethod
+    def _rescanning_loop(rng, shape, std=0.02):
+        """Oracle: redraw every rejected entry, rescanning the whole tensor."""
+        x = rng.standard_normal(shape) * std
+        bad = np.abs(x) > 2.0 * std
+        while bad.any():
+            x[bad] = rng.standard_normal(int(bad.sum())) * std
+            bad = np.abs(x) > 2.0 * std
+        return x
+
+    @pytest.mark.parametrize("shape", [(1,), (10000,), (16, 1, 3, 3), (64, 32, 1, 1),
+                                       (2_000_000,)])
+    def test_equals_rescanning_loop(self, shape):
+        for seed in range(3):
+            rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = truncated_normal(rng1, shape)
+            b = self._rescanning_loop(rng2, shape)
+            assert a.shape == b.shape and (a == b).all()
+            assert rng1.standard_normal() == rng2.standard_normal()   # same draws used
+
 
 class TestConfigFormat:
     def test_parse_serialize_idempotent(self):

@@ -212,6 +212,22 @@ class TestBatchNorm:
         ref = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
         np.testing.assert_allclose(y.data, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eval_matches_four_pass_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        c = 6
+        std = rng.uniform(0.05, 4.0, c)
+        mean = rng.uniform(-10.0, 10.0, c) * std          # |mean| <= 10 std
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        c4 = (1, c, 1, 1)
+        x = mean.reshape(c4) + std.reshape(c4) * rng.standard_normal((3, c, 5, 4))
+        rm, rv = mean.copy(), std * std
+        y = ops.batch_norm(t(x), t(gamma), t(beta), rm, rv, False)
+        ref = ((x - mean.reshape(c4)) * (1.0 / np.sqrt(std * std + 1e-5)).reshape(c4)
+               * gamma.reshape(c4) + beta.reshape(c4))
+        assert np.abs(y.data - ref).max() < 1e-12
+        assert (rm == mean).all() and (rv == std * std).all()
+
     @pytest.mark.parametrize("shape", [(16, 32, 32, 32), (1, 64, 112, 112), (16, 192, 4, 4)])
     def test_training_variance_bitwise_equals_numpy_var(self, shape):
         # momentum 1: the buffers hold the batch mean and the unbiased variance
