@@ -27,45 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CostRecorder, Module
+from .blocks import CostRecord, CostRecorder, Module
 from .engine import Tensor, no_grad, ops
 from .engine.reference import CountingBackend
 from .errors import ConfigError
 
 
 @dataclass
-class CostRecord:
-    path: str
-    params: int
-    macs: int
-    elementwise: int
-    activations: int
-
-    @property
-    def flops(self) -> int:
-        return self.macs + self.elementwise
-
-
-@dataclass
 class CostReport:
     records: list
-    input_shape: tuple
 
-    @property
-    def params(self) -> int:
-        return sum(r.params for r in self.records)
-
-    @property
-    def macs(self) -> int:
-        return sum(r.macs for r in self.records)
-
-    @property
-    def elementwise(self) -> int:
-        return sum(r.elementwise for r in self.records)
-
-    @property
-    def activations(self) -> int:
-        return sum(r.activations for r in self.records)
+    # column totals over all records
+    params = property(lambda self: sum(r.params for r in self.records))
+    macs = property(lambda self: sum(r.macs for r in self.records))
+    elementwise = property(lambda self: sum(r.elementwise for r in self.records))
+    activations = property(lambda self: sum(r.activations for r in self.records))
 
     @property
     def flops(self) -> int:
@@ -77,19 +53,11 @@ class CostReport:
 
     def grouped(self, depth: int = 2) -> list:
         """Aggregate leaf records by path prefix of the given depth."""
-        groups: dict[str, CostRecord] = {}
-        order = []
+        groups: dict[str, list] = {}
         for r in self.records:
-            key = ".".join(r.path.split(".")[:depth])
-            if key not in groups:
-                groups[key] = CostRecord(key, 0, 0, 0, 0)
-                order.append(key)
-            g = groups[key]
-            g.params += r.params
-            g.macs += r.macs
-            g.elementwise += r.elementwise
-            g.activations += r.activations
-        return [groups[k] for k in order]
+            total = groups.setdefault(".".join(r.path.split(".")[:depth]), [0] * 4)
+            total[:] = [a + b for a, b in zip(total, r[1:])]
+        return [CostRecord(key, *total) for key, total in groups.items()]
 
     def to_csv(self, depth: int = 2) -> str:
         lines = ["path,params,flops,activations"]
@@ -110,11 +78,10 @@ class CostReport:
         return "\n".join(out) + "\n"
 
 
-def _trace_report(model: Module, input_shape) -> CostReport:
+def _trace_report(model: Module, input_shape, path: str = "model") -> CostReport:
     rec = CostRecorder()
-    model.trace(tuple(input_shape), rec, "model")
-    records = [CostRecord(*r) for r in rec.records]
-    return CostReport(records=records, input_shape=tuple(input_shape))
+    model.trace(tuple(input_shape), rec, path)
+    return CostReport(rec.records)
 
 
 def count_params(model) -> CostReport:
@@ -164,9 +131,7 @@ def mac_counting_oracle(block: Module, input_shape, seed: int = 0) -> int:
 
 def block_macs(block: Module, input_shape) -> int:
     """Static MAC count of a bare block (the analyzer side of the oracle pair)."""
-    rec = CostRecorder()
-    block.trace(tuple(input_shape), rec, "block")
-    return sum(r[2] for r in rec.records)
+    return _trace_report(block, input_shape, "block").macs
 
 
 # ---------------------------------------------------------------------------

@@ -5,31 +5,46 @@ from it:
 
 * ``trace(shape, rec)`` -- shape inference plus static cost accounting
   (multiply-accumulates and elementwise op counts), obtained by running
-  ``forward`` on a shape-only input (see :meth:`Module.trace`);
+  ``forward`` on a shape-only input under one engine observer, ``_CostPass``
+  (see :meth:`Module.trace` and :func:`hirivit.engine.observe`);
 * the parameter registry -- named tensors collected into a ParamTree.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import KV_REDUCE_KINDS
-from .engine import Tensor, no_grad, ops
-from .engine.tensor import observe_results
+from .engine import Tensor, no_grad, observe, ops
+from .engine import tensor as _tensor
 from .errors import ConfigError, ResolutionError, ShapeError
 from .params import ParamTree
+
+
+class CostRecord(NamedTuple):
+    path: str
+    params: int
+    macs: int
+    elementwise: int
+    activations: int
+
+    @property
+    def flops(self) -> int:
+        return self.macs + self.elementwise
 
 
 class CostRecorder:
     """Accumulates per-layer cost records during a trace pass."""
 
     def __init__(self):
-        self.records = []          # (path, params, macs, elementwise, activations)
+        self.records: list[CostRecord] = []
         self.shapes = {}           # path -> output shape of each module call
 
     def add(self, path, params=0, macs=0, elementwise=0, activations=0):
-        self.records.append((path, int(params), int(macs), int(elementwise),
-                             int(activations)))
+        self.records.append(CostRecord(path, int(params), int(macs), int(elementwise),
+                                       int(activations)))
 
 
 # ops that only re-view their input cost nothing; attention's two
@@ -37,11 +52,9 @@ class CostRecorder:
 _FREE_OPS = frozenset({"reshape", "transpose", "scale"})
 _RECORD_NAMES = {"matmul": "qk", "ordered_matmul": "av"}
 
-_cost_pass = None                  # the _CostPass running, if any
-
 
 class _CostPass:
-    """Charges every op result of a trace to the innermost module call.
+    """Engine observer: charges each op result of a trace to the innermost module call.
 
     A leaf module (no children) gets one record at its own path; an op run
     directly by a composite module gets a record ``<path>.<op>``.
@@ -151,30 +164,27 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x: Tensor) -> Tensor:
-        if _cost_pass is None:
+        if _tensor._observer is None:
             return self.forward(x)
-        return _cost_pass.call(self, x)
+        return _tensor._observer.call(self, x)
 
     def trace(self, in_shape, rec: CostRecorder, path: str = ""):
         """Cost records and output shape of ``forward`` on an input shape.
 
         Runs ``forward`` in eval mode without a tape on a zero-stride input,
         with :class:`~hirivit.engine.ops.ShapeBackend` standing in for the
-        conv/linear/matmul kernels, so forward's own shape checks apply.
-        Every module's ``training`` flag is restored afterwards.
+        contraction kernels and a ``_CostPass`` observing it, so forward's
+        own shape checks apply. Every module's ``training`` flag and the
+        engine's previous observer are restored afterwards.
         """
-        global _cost_pass
         named = list(self.named_modules(path))
         modes = [m.training for _, m in named]
         cost = _CostPass(rec, {id(m): p for p, m in named})
-        outer, _cost_pass = _cost_pass, cost
         try:
             self.eval()
-            with no_grad(), ops.use_backend(cost.backend), \
-                    observe_results(cost.on_result):
+            with no_grad(), ops.use_backend(cost.backend), observe(cost):
                 out = self(Tensor(np.broadcast_to(0.0, tuple(in_shape))))
         finally:
-            _cost_pass = outer
             for (_, m), mode in zip(named, modes):
                 m.training = mode
         return out.shape

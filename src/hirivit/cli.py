@@ -27,7 +27,11 @@ EXIT_USAGE = 2
 def _load_config(args, default=None):
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            return parse_config(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not a text config file: {exc}") from exc
+        return parse_config(text)
     if getattr(args, "variant", None):
         res = args.res[0] if getattr(args, "res", None) else 448
         return hiri_config(args.variant, res)
@@ -233,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ShapeError, ResolutionError, FileNotFoundError) as exc:
+    except (ConfigError, ShapeError, ResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

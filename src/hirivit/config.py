@@ -18,7 +18,7 @@ section per stage, e.g.::
     channels = 32
     expansion = 4
 
-Unknown keys are rejected.
+Unknown keys, and a key or section given twice, are rejected.
 """
 
 from __future__ import annotations
@@ -214,6 +214,7 @@ def _values(entries: dict) -> dict:
 
 def parse_config(text: str) -> ModelConfig:
     section = None
+    headers: dict = {}             # section -> line of its header
     model: dict = {}
     stages: dict[int, dict] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -231,10 +232,14 @@ def parse_config(text: str) -> ModelConfig:
                     idx = int(head.split()[1])
                 except (IndexError, ValueError):
                     raise ConfigError(f"line {lineno}: bad stage header {raw!r}")
-                stages.setdefault(idx, {})
+                stages[idx] = {}
                 section = ("stage", idx)
             else:
                 raise ConfigError(f"line {lineno}: unknown section {head!r}")
+            if section in headers:
+                raise ConfigError(f"line {lineno}: section [{head}] repeats the one"
+                                  f" on line {headers[section]}")
+            headers[section] = lineno
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
@@ -246,11 +251,15 @@ def parse_config(text: str) -> ModelConfig:
         if section[0] == "model":
             if key not in _MODEL_KEYS:
                 raise ConfigError(f"line {lineno}: unknown model key {key!r}")
-            model[key] = (val, lineno)
+            values = model
         else:
             if key not in _STAGE_KEYS:
                 raise ConfigError(f"line {lineno}: unknown stage key {key!r}")
-            stages[section[1]][key] = (val, lineno)
+            values = stages[section[1]]
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats the one on line"
+                              f" {values[key][1]}")
+        values[key] = (val, lineno)
 
     for req in ("name", "resolution", "num_classes", "stem", "downsamplers"):
         if req not in model:

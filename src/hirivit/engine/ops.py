@@ -20,9 +20,11 @@ Conventions
   key's bytes, and computes each query row on its own, so a permutation of
   the query rows permutes its output rows bitwise. The query-key product
   (``matmul``) is a plain BLAS call and carries no such guarantee.
-* Forward kernels for conv/linear/matmul dispatch through a swappable
-  backend so an instrumented MAC-counting executor, or the shape-only
-  executor of the cost analyzer, can drive the same graph.
+* Forward kernels for conv2d, linear, matmul and ordered_matmul dispatch
+  through a swappable backend: the vectorized ``FastBackend``, the
+  MAC-counting loops of ``reference.CountingBackend`` or the analyzer's
+  shape-only ``ShapeBackend``. The last two alias ``ordered_matmul`` to their
+  ``matmul``: summation order changes no shape and no MAC count.
 """
 
 from __future__ import annotations
@@ -50,10 +52,23 @@ CONV_BLOCK_BYTES = 1 << 19
 class FastBackend:
     """Vectorized NumPy kernels (default)."""
 
-    counting = False
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b)
+
+    def ordered_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The canonical-order contraction of :func:`ordered_matmul`."""
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        (m, k), p = a.shape[-2:], b.shape[-1]
+        a3 = np.broadcast_to(a, lead + (m, k)).reshape(-1, m, k)
+        b3 = np.broadcast_to(b, lead + (k, p)).reshape(-1, k, p)
+        # (batch, key, value row + attention column), one void item per key
+        keys = np.ascontiguousarray(
+            np.concatenate([b3, np.swapaxes(a3, 1, 2)], axis=-1))
+        items = keys.view(np.dtype((np.void, keys.strides[1])))[..., 0]
+        order = np.argsort(items, axis=-1, kind="stable")
+        keys = keys[np.arange(len(keys))[:, None], order]
+        a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
+        return np.matmul(a3[:, :, None, :], b3[:, None, :, :]).reshape(lead + (m, p))
 
     def linear(self, x2, w, b):
         y = x2 @ w.T
@@ -71,8 +86,6 @@ class ShapeBackend:
     ``macs`` accumulates over calls until the caller resets it.
     """
 
-    counting = True
-
     def __init__(self):
         self.macs = 0
 
@@ -84,6 +97,8 @@ class ShapeBackend:
     def matmul(self, a, b):
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         return self._zeros(lead + (a.shape[-2], b.shape[-1]), a.shape[-1])
+
+    ordered_matmul = matmul
 
     def linear(self, x2, w, b):
         return self._zeros((x2.shape[0], w.shape[0]), x2.shape[1])
@@ -242,23 +257,8 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    be = current_backend()
-    if be.counting:
-        data = be.matmul(a.data, b.data)
-    else:
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        (m, k), p = a.shape[-2:], b.shape[-1]
-        a3 = np.broadcast_to(a.data, lead + (m, k)).reshape(-1, m, k)
-        b3 = np.broadcast_to(b.data, lead + (k, p)).reshape(-1, k, p)
-        # (batch, key, value row + attention column), one void item per key
-        keys = np.ascontiguousarray(
-            np.concatenate([b3, np.swapaxes(a3, 1, 2)], axis=-1))
-        items = keys.view(np.dtype((np.void, keys.strides[1])))[..., 0]
-        order = np.argsort(items, axis=-1, kind="stable")
-        keys = keys[np.arange(len(keys))[:, None], order]
-        a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
-        data = np.matmul(a3[:, :, None, :], b3[:, None, :, :]).reshape(lead + (m, p))
-    return _matmul_result(data, a, b, "ordered_matmul")
+    return _matmul_result(current_backend().ordered_matmul(a.data, b.data), a, b,
+                          "ordered_matmul")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -1,9 +1,9 @@
 """Scalar loop kernels: independent references for conv/matmul/linear.
 
-These run the arithmetic one multiply-accumulate at a time and bump a
-counter per MAC. They double as correctness oracles for the vectorized
-kernels and as the instrumented executor behind the FLOP-count oracle.
-Only use them on small shapes.
+These run the arithmetic one multiply-accumulate at a time and, given a
+``counter``, bump its ``macs`` attribute once per MAC. They double as
+correctness oracles for the vectorized kernels and as the instrumented
+executor behind the FLOP-count oracle. Only use them on small shapes.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 
-class MacCounter:
-    def __init__(self):
-        self.macs = 0
-
-
-def loop_matmul(a: np.ndarray, b: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
+def loop_matmul(a: np.ndarray, b: np.ndarray, counter=None) -> np.ndarray:
     """Batched matrix product via explicit triple loops."""
     bshape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     m, k = a.shape[-2:]
@@ -41,7 +36,7 @@ def loop_matmul(a: np.ndarray, b: np.ndarray, counter: MacCounter | None = None)
 
 
 def loop_linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                counter: MacCounter | None = None) -> np.ndarray:
+                counter=None) -> np.ndarray:
     rows, din = x2.shape
     dout = w.shape[0]
     out = np.zeros((rows, dout), dtype=x2.dtype)
@@ -57,8 +52,7 @@ def loop_linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
 
 def loop_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
-                stride, padding, groups: int,
-                counter: MacCounter | None = None) -> np.ndarray:
+                stride, padding, groups: int, counter=None) -> np.ndarray:
     """Direct cross-correlation with explicit nested loops.
 
     Padding is materialized, so every kernel tap performs (and counts) a
@@ -123,22 +117,18 @@ def loop_conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 
 
 class CountingBackend:
-    """Executes conv/linear/matmul through the loop kernels, counting MACs."""
-
-    counting = True
+    """Executes conv/linear/matmul through the loop kernels; counts MACs in ``macs``."""
 
     def __init__(self):
-        self.counter = MacCounter()
-
-    @property
-    def macs(self):
-        return self.counter.macs
+        self.macs = 0
 
     def matmul(self, a, b):
-        return loop_matmul(a, b, self.counter)
+        return loop_matmul(a, b, self)
+
+    ordered_matmul = matmul
 
     def linear(self, x2, w, b):
-        return loop_linear(x2, w, b, self.counter)
+        return loop_linear(x2, w, b, self)
 
     def conv2d(self, x, w, bias, stride, padding, groups):
-        return loop_conv2d(x, w, bias, stride, padding, groups, self.counter)
+        return loop_conv2d(x, w, bias, stride, padding, groups, self)

@@ -16,7 +16,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float64
 
 _grad_enabled = True
-_result_hook = None
+_observer = None
 
 
 @contextlib.contextmanager
@@ -31,20 +31,20 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 @contextlib.contextmanager
-def observe_results(hook):
-    """Call ``hook(out)`` with every op result created inside the block."""
-    global _result_hook
-    prev = _result_hook
-    _result_hook = hook
+def observe(observer):
+    """Send the block's events to ``observer``, then restore the previous one.
+
+    ``observer.call(module, x)`` replaces each ``Module.__call__`` and runs
+    ``module.forward(x)`` itself; ``observer.on_result(out)`` sees each op result.
+    """
+    global _observer
+    prev = _observer
+    _observer = observer
     try:
-        yield
+        yield observer
     finally:
-        _result_hook = prev
+        _observer = prev
 
 
 class Tensor:
@@ -105,8 +105,8 @@ def make_result(data: np.ndarray, parents: Iterable[Tensor], op: str,
     if needs:
         out._parents = parents
         out._backward = backward
-    if _result_hook is not None:
-        _result_hook(out)
+    if _observer is not None:
+        _observer.on_result(out)
     return out
 
 

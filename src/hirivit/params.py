@@ -60,9 +60,6 @@ class ParamTree:
     def items(self):
         return self._entries.items()
 
-    def is_trainable(self, path: str) -> bool:
-        return self._trainable[path]
-
     def trainable_items(self):
         return [(p, t) for p, t in self._entries.items() if self._trainable[p]]
 

@@ -113,3 +113,35 @@ def test_analyze_config_matches_variant(tmp_path, capsys):
                      "--detail"]) == 0
         reports.append(capsys.readouterr().out.replace("hiri_s,", "S,"))
     assert reports[0] == reports[1]
+
+
+# -- OS errors on user-named paths are usage errors (exit 2), not tracebacks --
+
+def _assert_usage_error(argv, capsys, *names):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(n in err for n in names), err
+
+
+def test_analyze_config_directory_exits_2(tmp_path, capsys):
+    _assert_usage_error(["analyze", "--config", str(tmp_path), "--res", "64"],
+                        capsys, str(tmp_path))
+
+
+def test_analyze_binary_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.cfg"
+    path.write_bytes(bytes(range(128, 256)))
+    _assert_usage_error(["analyze", "--config", str(path), "--res", "64"],
+                        capsys, str(path), "not a text config file")
+
+
+def test_analyze_out_directory_exits_2(tmp_path, capsys):
+    _assert_usage_error(["analyze", "--variant", "S", "--res", "224", "--out",
+                         str(tmp_path)], capsys, str(tmp_path))
+
+
+def test_train_out_below_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = str(blocker / "run")
+    _assert_usage_error(["train", "--steps", "1", "--out", out_dir], capsys, out_dir)

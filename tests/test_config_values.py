@@ -1,6 +1,7 @@
 """Bad config choices and values: a ConfigError naming the key, CLI exit 2."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -108,3 +109,32 @@ def test_smallest_anchored_resolution_still_builds():
     assert cfg.stage_grids() == [56, 28, 28, 14, 7]
     shapes = Model(cfg).stage_boundary_shapes((1, 3, 224, 224))
     assert [s[2] for s in shapes] == cfg.stage_grids()
+
+
+# (config text, what the error must name, the line that repeats it)
+REPEATED = {
+    "stage_key": (_replace(MICRO, "depth = 1", "depth = 1\ndepth = 3"), "'depth'",
+                  "depth = 3"),
+    "model_key": (_set(MICRO, "model", "num_classes", "3"), "'num_classes'",
+                  "num_classes = 2"),
+    "stage_section": (MICRO + "\n[stage 1]\nchannels = 16\n", "[stage 1]", "[stage 1]"),
+    "model_section": (MICRO + "\n[model]\nhead_hidden = 8\n", "[model]", "[model]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED))
+def test_repeated_key_or_section_names_its_line(name):
+    text, what, repeat = REPEATED[name]
+    line = max(i for i, ln in enumerate(text.splitlines(), 1) if ln == repeat)
+    with pytest.raises(ConfigError, match=rf"line {line}: .*{re.escape(what)}"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED))
+def test_analyze_repeated_key_or_section_exits_2(name, tmp_path, capsys):
+    text, what, _ = REPEATED[name]
+    path = tmp_path / "repeated.cfg"
+    path.write_text(text)
+    assert main(["analyze", "--config", str(path), "--res", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and what in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hirivit.analyzer import count_flops, count_params
+from hirivit.engine import Tensor, no_grad, observe, tensor
 from hirivit.errors import ResolutionError
 from hirivit.zoo import Model, build_model, hiri_config, hiri_micro_config, mvit_config
 
@@ -64,3 +65,47 @@ def test_analysis_leaves_model_bitwise_untouched(mode):
 def test_analysis_rejects_what_forward_rejects_and_names_the_module(res, where):
     with pytest.raises(ResolutionError, match=where):
         count_flops(Model(hiri_config("S", 448)), res)
+
+
+class _Spy:
+    """An engine observer that counts its events and changes nothing."""
+
+    def __init__(self):
+        self.calls = self.results = 0
+
+    def call(self, module, x):
+        self.calls += 1
+        return module.forward(x)
+
+    def on_result(self, out):
+        self.results += 1
+
+
+def test_analysis_restores_the_engine_observer():
+    model = Model(hiri_config("S", 448))
+    spy = _Spy()
+    with observe(spy):
+        assert model.out_shape((1, 3, 448, 448)) == (1, 1000)
+        assert tensor._observer is spy
+        with pytest.raises(ResolutionError):
+            count_flops(model, 32)
+        assert tensor._observer is spy
+    assert (spy.calls, spy.results) == (0, 0)     # the analysis observed itself
+    assert tensor._observer is None
+    assert model.out_shape((1, 3, 448, 448)) == (1, 1000)
+    with pytest.raises(ResolutionError):
+        count_flops(model, 32)
+    assert tensor._observer is None
+
+
+def test_observer_sees_a_forward_without_changing_it():
+    model, _ = build_model(hiri_micro_config(), seed=0)
+    model.eval()
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)))
+    spy = _Spy()
+    with no_grad():
+        plain = model(x).data
+        with observe(spy):
+            seen = model(x).data
+    assert seen.tobytes() == plain.tobytes()
+    assert spy.calls >= len(list(model.named_modules())) and spy.results > spy.calls
