@@ -1,8 +1,9 @@
 """Static, data-free parameter and FLOP accounting.
 
 Costs come from :meth:`hirivit.blocks.Module.trace`, which runs the model's
-own ``forward`` on a shape-only input and charges every op result to the
-innermost module call. Conventions (fixed for this package):
+own ``forward`` on an empty batch through the real kernels, which then do no
+arithmetic, and charges every op result, scaled to the requested batch, to
+the innermost module call. Conventions (fixed for this package):
   * ``macs``  -- multiply-accumulates of conv2d / linear / matmul, the two
                  attention contractions included: output elements times the
                  contraction length (Cin/groups x kh x kw for a conv); bias
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CostRecord, CostRecorder, Module
+from .blocks import CostRecord, CostRecorder, Module, eval_mode
 from .engine import Tensor, no_grad, ops
 from .engine.reference import CountingBackend
 from .errors import ConfigError
@@ -118,14 +119,9 @@ def mac_counting_oracle(block: Module, input_shape, seed: int = 0) -> int:
     """
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(input_shape))
-    was_training = block.training
-    block.eval()
     backend = CountingBackend()
-    try:
-        with no_grad(), ops.use_backend(backend):
-            block(x)
-    finally:
-        block.train(was_training)
+    with eval_mode(block), no_grad(), ops.use_backend(backend):
+        block(x)
     return backend.macs
 
 

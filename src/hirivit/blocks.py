@@ -5,13 +5,15 @@ from it:
 
 * ``trace(shape, rec)`` -- shape inference plus static cost accounting
   (multiply-accumulates and elementwise op counts), obtained by running
-  ``forward`` on a shape-only input under one engine observer, ``_CostPass``
+  ``forward`` on an empty batch under one engine observer, ``_CostPass``
   (see :meth:`Module.trace` and :func:`hirivit.engine.observe`);
 * the parameter registry -- named tensors collected into a ParamTree.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +59,13 @@ class _CostPass:
     """Engine observer: charges each op result of a trace to the innermost module call.
 
     A leaf module (no children) gets one record at its own path; an op run
-    directly by a composite module gets a record ``<path>.<op>``.
+    directly by a composite module gets a record ``<path>.<op>``. The trace
+    runs on an empty batch, and every op keeps the batch on axis 0, so a
+    result stands for ``batch`` in axis 0 and its own axes from 1 on.
     """
 
-    def __init__(self, rec: CostRecorder, paths: dict):
-        self.rec, self.paths = rec, paths
+    def __init__(self, rec: CostRecorder, paths: dict, batch: int):
+        self.rec, self.paths, self.batch = rec, paths, batch
         self.backend = ops.ShapeBackend()
         self.frames = []           # (path, [params, macs, elementwise, activations], leaf)
 
@@ -80,17 +84,18 @@ class _CostPass:
             self.frames.pop()
         if any(cost):
             self.rec.add(path, *cost)
-        self.rec.shapes[path] = out.shape
+        self.rec.shapes[path] = (self.batch,) + out.shape[1:]
         return out
 
     def on_result(self, out):
-        # contractions report MACs through the backend; every other op costs
-        # one elementwise op per output element
-        macs, self.backend.macs = self.backend.macs, 0
+        # contractions note their length in the backend and cost that many
+        # MACs per output element; every other op costs one elementwise op
+        k, self.backend.k = self.backend.k, 0
         if out.op in _FREE_OPS:
             return
         path, cost, leaf = self.frames[-1]
-        op_cost = (0, macs, 0 if macs else out.size, out.size)
+        size = self.batch * math.prod(out.shape[1:])
+        op_cost = (0, size * k, 0 if k else size, size)
         if leaf:
             cost[:] = [a + b for a, b in zip(cost, op_cost)]
         else:
@@ -171,26 +176,42 @@ class Module:
     def trace(self, in_shape, rec: CostRecorder, path: str = ""):
         """Cost records and output shape of ``forward`` on an input shape.
 
-        Runs ``forward`` in eval mode without a tape on a zero-stride input,
-        with :class:`~hirivit.engine.ops.ShapeBackend` standing in for the
-        contraction kernels and a ``_CostPass`` observing it, so forward's
-        own shape checks apply. Every module's ``training`` flag and the
-        engine's previous observer are restored afterwards.
+        Runs ``forward`` in eval mode without a tape on an empty batch,
+        ``(0,) + in_shape[1:]``, through the real kernels of
+        :class:`~hirivit.engine.ops.ShapeBackend`, with a ``_CostPass``
+        observing it. The kernels do no arithmetic on it and give forward's
+        own output shapes, and forward's own shape checks apply. Costs and
+        shapes are those of a batch of ``in_shape[0] >= 1``. Every module's
+        ``training`` flag and the engine's previous observer are restored
+        afterwards.
         """
-        named = list(self.named_modules(path))
-        modes = [m.training for _, m in named]
-        cost = _CostPass(rec, {id(m): p for p, m in named})
-        try:
-            self.eval()
-            with no_grad(), ops.use_backend(cost.backend), observe(cost):
-                out = self(Tensor(np.broadcast_to(0.0, tuple(in_shape))))
-        finally:
-            for (_, m), mode in zip(named, modes):
-                m.training = mode
-        return out.shape
+        in_shape = tuple(in_shape)
+        if in_shape[0] < 1:
+            raise ShapeError(f"trace needs a batch of at least 1, got shape {in_shape}")
+        cost = _CostPass(rec, {id(m): p for p, m in self.named_modules(path)}, in_shape[0])
+        with eval_mode(self), no_grad(), ops.use_backend(cost.backend), observe(cost):
+            self(Tensor(np.empty((0,) + in_shape[1:])))
+        return rec.shapes[path]
 
     def out_shape(self, in_shape):
         return self.trace(tuple(in_shape), CostRecorder())
+
+
+@contextlib.contextmanager
+def eval_mode(model):
+    """Eval mode inside the block; every module gets its own ``training`` flag back.
+
+    ``model`` is a :class:`Module`, or any object with a ``training`` flag and
+    an ``eval()`` method, such as a stand-in teacher.
+    """
+    named = model.named_modules() if isinstance(model, Module) else [("", model)]
+    modes = [(m, m.training) for _, m in named]
+    model.eval()
+    try:
+        yield model
+    finally:
+        for m, mode in modes:
+            m.training = mode
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ EXIT_USAGE = 2
 
 def _load_config(args, default=None):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:

@@ -20,11 +20,13 @@ Conventions
   key's bytes, and computes each query row on its own, so a permutation of
   the query rows permutes its output rows bitwise. The query-key product
   (``matmul``) is a plain BLAS call and carries no such guarantee.
-* Forward kernels for conv2d, linear, matmul and ordered_matmul dispatch
-  through a swappable backend: the vectorized ``FastBackend``, the
-  MAC-counting loops of ``reference.CountingBackend`` or the analyzer's
-  shape-only ``ShapeBackend``. The last two alias ``ordered_matmul`` to their
-  ``matmul``: summation order changes no shape and no MAC count.
+* Forward kernels for conv2d, matmul and ordered_matmul dispatch through a
+  swappable backend: the vectorized ``FastBackend``, the MAC-counting loops
+  of ``reference.CountingBackend`` or the analyzer's ``ShapeBackend``, which
+  runs the fast kernels and notes each contraction's length. ``linear`` is
+  the backend's ``matmul`` plus a bias. The last two backends alias
+  ``ordered_matmul`` to their ``matmul``: summation order changes no shape
+  and no MAC count.
 """
 
 from __future__ import annotations
@@ -70,44 +72,28 @@ class FastBackend:
         a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
         return np.matmul(a3[:, :, None, :], b3[:, None, :, :]).reshape(lead + (m, p))
 
-    def linear(self, x2, w, b):
-        y = x2 @ w.T
-        if b is not None:
-            y = y + b
-        return y
-
     def conv2d(self, x, w, bias, stride, padding, groups):
         return _conv2d_fast(x, w, bias, stride, padding, groups)
 
 
-class ShapeBackend:
-    """Output shapes and MAC counts only: zero-stride results, no arithmetic.
+class ShapeBackend(FastBackend):
+    """The fast kernels, noting the contraction length of the last call in ``k``.
 
-    ``macs`` accumulates over calls until the caller resets it.
+    Each output element of that call costs ``k`` MACs. The analyzer runs on
+    an empty batch, where the kernels do no arithmetic.
     """
 
-    def __init__(self):
-        self.macs = 0
-
-    def _zeros(self, shape, contraction):
-        out = np.broadcast_to(0.0, shape)
-        self.macs += out.size * contraction
-        return out
+    k = 0
 
     def matmul(self, a, b):
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        return self._zeros(lead + (a.shape[-2], b.shape[-1]), a.shape[-1])
+        self.k = a.shape[-1]
+        return super().matmul(a, b)
 
     ordered_matmul = matmul
 
-    def linear(self, x2, w, b):
-        return self._zeros((x2.shape[0], w.shape[0]), x2.shape[1])
-
     def conv2d(self, x, w, bias, stride, padding, groups):
-        self.macs += conv2d_macs(x.shape, w.shape, stride, padding, groups)
-        oh, ow = _conv_out_hw(x.shape[2], x.shape[3], w.shape[2], w.shape[3],
-                              *stride, *padding)
-        return np.broadcast_to(0.0, (x.shape[0], w.shape[0], oh, ow))
+        self.k = w[0].size
+        return super().conv2d(x, w, bias, stride, padding, groups)
 
 
 _backend = FastBackend()
@@ -269,8 +255,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"linear input feature axis {din} does not match weight columns {din_w}")
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, din)
-    y2 = current_backend().linear(x2, weight.data,
-                                  bias.data if bias is not None else None)
+    y2 = current_backend().matmul(x2, weight.data.T)
+    if bias is not None:
+        y2 = y2 + bias.data
     data = y2.reshape(*lead, dout)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -434,13 +421,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return make_result(data, parents, "conv2d", bw)
 
 
-def conv2d_macs(x_shape, w_shape, stride, padding, groups) -> int:
-    n, cin, h, w = x_shape
-    cout, cing, kh, kw = w_shape
-    oh, ow = _conv_out_hw(h, w, kh, kw, stride[0], stride[1], padding[0], padding[1])
-    return n * cout * oh * ow * cing * kh * kw
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -451,7 +431,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """Channel-wise batch normalization over an NCHW tensor.
 
     In training mode the batch statistics normalize and the running buffers
-    are updated in place; in eval mode the running buffers normalize.
+    are updated in place, so the batch must not be empty; in eval mode the
+    running buffers normalize.
     """
     if eps <= 0:
         raise ConfigError(f"batch_norm epsilon must be positive, got {eps}")
@@ -459,11 +440,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     n, c, h, w = x.shape
     count = n * h * w
-    if count < 1:
-        raise ShapeError("batch_norm got an empty batch")
     axes = (0, 2, 3)
     cshape = (1, c, 1, 1)
     if training:
+        if count < 1:
+            raise ShapeError("batch_norm got an empty batch")
         mean = x.data.mean(axis=axes)
         xc = x.data - mean.reshape(cshape)
         var = (xc * xc).sum(axis=axes) / count      # what x.var(axes) computes

@@ -1,9 +1,10 @@
 """Scalar loop kernels: independent references for conv/matmul/linear.
 
-These run the arithmetic one multiply-accumulate at a time and, given a
-``counter``, bump its ``macs`` attribute once per MAC. They double as
-correctness oracles for the vectorized kernels and as the instrumented
-executor behind the FLOP-count oracle. Only use them on small shapes.
+These run the arithmetic one multiply-accumulate at a time. Given a
+``counter``, the conv and matmul loops bump its ``macs`` attribute once per
+MAC. They double as correctness oracles for the vectorized kernels and as
+the instrumented executor behind the FLOP-count oracle. Only use them on
+small shapes.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def loop_matmul(a: np.ndarray, b: np.ndarray, counter=None) -> np.ndarray:
     return out
 
 
-def loop_linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                counter=None) -> np.ndarray:
+def loop_linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     rows, din = x2.shape
     dout = w.shape[0]
     out = np.zeros((rows, dout), dtype=x2.dtype)
@@ -45,8 +45,6 @@ def loop_linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None,
             acc = 0.0
             for i in range(din):
                 acc += x2[r, i] * w[o, i]
-                if counter is not None:
-                    counter.macs += 1
             out[r, o] = acc + (b[o] if b is not None else 0.0)
     return out
 
@@ -117,7 +115,10 @@ def loop_conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 
 
 class CountingBackend:
-    """Executes conv/linear/matmul through the loop kernels; counts MACs in ``macs``."""
+    """Executes conv/matmul through the loop kernels; counts MACs in ``macs``.
+
+    ``ops.linear`` reaches it through ``matmul``.
+    """
 
     def __init__(self):
         self.macs = 0
@@ -126,9 +127,6 @@ class CountingBackend:
         return loop_matmul(a, b, self)
 
     ordered_matmul = matmul
-
-    def linear(self, x2, w, b):
-        return loop_linear(x2, w, b, self)
 
     def conv2d(self, x, w, bias, stride, padding, groups):
         return loop_conv2d(x, w, bias, stride, padding, groups, self)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..blocks import eval_mode
 from ..engine import Tensor, no_grad, ops
 from ..errors import ConfigError
 
@@ -44,15 +45,9 @@ def majority_downsample(mask: np.ndarray, out_hw) -> np.ndarray:
 
 def teacher_prob_map(teacher, x: np.ndarray) -> np.ndarray:
     """Per-position class probabilities from a model run densely, no grads."""
-    was_training = teacher.training
-    teacher.eval()
-    try:
-        with no_grad():
-            logits = teacher.forward_dense_logits(Tensor(x))
-            probs = ops.softmax(logits, axis=1)
-    finally:
-        teacher.train(was_training)
-    return probs.data
+    with eval_mode(teacher), no_grad():
+        logits = teacher.forward_dense_logits(Tensor(x))
+        return ops.softmax(logits, axis=1).data
 
 
 def distill_target(teacher, xa: np.ndarray, xb: np.ndarray,

@@ -48,6 +48,19 @@ def test_analyze_config_file(tmp_path, capsys):
     assert "hiri_micro" in out
 
 
+def test_analyze_config_file_with_utf8_bom(tmp_path, capsys):
+    text = serialize_config(hiri_micro_config())
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    outs = []
+    for path in (plain, bom):
+        assert main(["analyze", "--config", str(path), "--res", "64"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "hiri_micro" in outs[0]
+
+
 def test_analyze_out_file(tmp_path):
     out_path = tmp_path / "report.csv"
     assert main(["analyze", "--variant", "S", "--res", "224", "--format", "csv",

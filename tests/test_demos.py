@@ -1,6 +1,6 @@
-"""The two fast demos run end to end against the current public surface.
+"""The three fast demos run end to end against the current public surface.
 
-Demos 01 and 03 take 15 s or more each and are left to be run by hand.
+Demo 03 takes 15 s or more and is left to be run by hand.
 """
 
 import os
@@ -11,7 +11,8 @@ import pytest
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 
-@pytest.mark.parametrize("name", ["02_blocks_and_gradients.py",
+@pytest.mark.parametrize("name", ["01_costs_and_scaling.py",
+                                  "02_blocks_and_gradients.py",
                                   "04_mixing_and_distillation.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")

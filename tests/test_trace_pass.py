@@ -1,11 +1,14 @@
 """Costs derived from ``forward``: exact totals, an untouched model, forward's errors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hirivit.analyzer import count_flops, count_params
+from hirivit.analyzer import count_flops, count_params, mac_counting_oracle
 from hirivit.engine import Tensor, no_grad, observe, tensor
-from hirivit.errors import ResolutionError
+from hirivit.errors import ResolutionError, ShapeError
+from hirivit.train import distill_target
 from hirivit.zoo import Model, build_model, hiri_config, hiri_micro_config, mvit_config
 
 # (params, macs, elementwise); the +-10% reference bands cannot see one
@@ -56,6 +59,41 @@ def test_analysis_leaves_model_bitwise_untouched(mode):
     for path, (dtype, shape, raw, grad) in after[0].items():
         assert (dtype, shape, raw) == before[0][path][:3], path
         assert grad is None, path
+
+
+def test_oracle_and_teacher_restore_mixed_mode_flags():
+    cfg = hiri_micro_config(resolution=32)
+    model, _ = build_model(cfg, seed=0)
+    teacher, _ = build_model(cfg, seed=1)
+    for m in (model, teacher):
+        m.train()
+        m.stages[3].eval()
+    before = [_state(m)[1] for m in (model, teacher)]
+
+    mac_counting_oracle(model, (1, 3, 32, 32))
+    x = np.random.default_rng(0).standard_normal((2, 3, 32, 32))
+    distill_target(teacher, x, np.array([1, 0]), np.ones((32, 32)), np.eye(2), 0.5)
+
+    assert [_state(m)[1] for m in (model, teacher)] == before
+
+
+def test_analysis_memory_does_not_grow_with_the_input():
+    model = Model(hiri_config("S", 448))
+    tracemalloc.start()
+    try:
+        count_flops(model, 1792)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("make", [lambda: Model(hiri_config("S", 448)),
+                                  lambda: Model(mvit_config(1, 224))],
+                         ids=["S@448", "ladder_row1@224"])
+def test_analysis_rejects_an_empty_batch(make):
+    with pytest.raises(ShapeError, match="batch of at least 1"):
+        count_flops(make(), batch=0)
 
 
 @pytest.mark.parametrize("res,where", [
