@@ -180,17 +180,25 @@ class Module:
         ``(0,) + in_shape[1:]``, through the real kernels of
         :class:`~hirivit.engine.ops.ShapeBackend`, with a ``_CostPass``
         observing it. The kernels do no arithmetic on it and give forward's
-        own output shapes, and forward's own shape checks apply. Costs and
-        shapes are those of a batch of ``in_shape[0] >= 1``. Every module's
-        ``training`` flag and the engine's previous observer are restored
-        afterwards.
+        own output shapes, and forward's own shape checks apply; their errors
+        name ``in_shape``, not the empty batch. Costs and shapes are those of
+        a batch of ``in_shape[0] >= 1``. Every module's ``training`` flag and
+        the engine's previous observer are restored afterwards.
         """
         in_shape = tuple(in_shape)
         if in_shape[0] < 1:
             raise ShapeError(f"trace needs a batch of at least 1, got shape {in_shape}")
+        empty = (0,) + in_shape[1:]
         cost = _CostPass(rec, {id(m): p for p, m in self.named_modules(path)}, in_shape[0])
-        with eval_mode(self), no_grad(), ops.use_backend(cost.backend), observe(cost):
-            self(Tensor(np.empty((0,) + in_shape[1:])))
+        try:
+            with eval_mode(self), no_grad(), ops.use_backend(cost.backend), observe(cost):
+                self(Tensor(np.empty(empty)))
+        except (ShapeError, ResolutionError) as exc:
+            msg = str(exc).replace(str(empty), str(in_shape))
+            if str(in_shape) not in msg:
+                msg = f"{msg} (input shape {in_shape})"
+            exc.args = (msg,)
+            raise
         return rec.shapes[path]
 
     def out_shape(self, in_shape):

@@ -5,14 +5,26 @@ Conventions
 * conv2d implements cross-correlation (no kernel flip). Forward is im2col
   plus one GEMM per sample and group, in L2-sized blocks of groups: each
   block's patch matrix is built and multiplied before the next block's is
-  built, so it is read back from cache, not from memory. Backward rebuilds
-  the patch matrix block by block and forms the weight gradient as the
-  same GEMMs of ``g`` against it, summed over the batch. For stride 1 the
-  input gradient is the forward kernel applied to ``g`` with the flipped,
+  built, so it is read back from cache, not from memory. A block whose
+  patch matrix exceeds ``CONV_PATCH_CAP`` (an ungrouped conv, or one large
+  depthwise group) is built and multiplied in blocks of whole output rows,
+  written into the preallocated output. So the working set of a forward
+  conv is its padded input, its output and at most the cap, not the
+  kh*kw-fold im2col expansion. Backward rebuilds the patch matrix in blocks
+  of whole groups and forms the weight gradient as the same GEMMs of ``g``
+  against it, summed over the batch; splitting it by rows would reorder
+  its sums over output positions. For stride 1 the input gradient is the
+  forward kernel, row blocks included, applied to ``g`` with the flipped,
   channel-transposed kernel at padding ``k - 1 - p``; strided convs
   scatter-add the column gradient one kernel tap at a time. An input that
-  does not require grad gets none. Blocking changes no GEMM, so results do
-  not depend on the block size.
+  does not require grad gets none. Blocks of groups change no GEMM. A row
+  block only cuts a GEMM's columns, at multiples of 16, and stays on the
+  GEMM path of the whole map (see ``_row_bounds``), so outputs and
+  gradients are bitwise equal to one-block runs (checked on OpenBLAS
+  0.3.31's SkylakeX kernels), and results do not depend on either block
+  size.
+* ``gelu`` computes its result in one buffer when no tape will keep its
+  ``phi`` (``tensor.records_tape``), bitwise equal to the taped result.
 * Reductions over the key/value token axis inside attention are bitwise
   invariant to a permutation of that axis. The softmax denominator sums in
   value-sorted order; the attention-times-values product (``ordered_matmul``)
@@ -32,12 +44,13 @@ Conventions
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 from scipy.special import erf
 
 from ..errors import ConfigError, ResolutionError, ShapeError
-from .tensor import Tensor, make_result
+from .tensor import Tensor, make_result, records_tape
 
 INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -45,6 +58,14 @@ INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # host, 256 KB to 1 MB blocks ran the depthwise shapes of HiRI-ViT-S@448 and
 # the micro model equally fast, and 2 MB and up ran them slower.
 CONV_BLOCK_BYTES = 1 << 19
+# Cap on the patch-matrix bytes of one forward block. A block of groups above
+# it (an ungrouped conv, or one large depthwise group) is built and multiplied
+# in blocks of whole output rows, so the cap, not the im2col expansion, bounds
+# the working set. In a 256 KB-8 MB sweep over the dense convs and the stem's
+# depthwise conv of HiRI-ViT-S@448, 1-4 MB ran them as fast as one block or
+# faster and 512 KB and below ran the dense ones slower; the S@448 forward's
+# activation peak was 25.7 MB at 2 MB, 26.7 MB at 4 MB and 51.5 MB unbounded.
+CONV_PATCH_CAP = 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +326,65 @@ def _windows(x, kh, kw, stride, padding, groups):
         (s0, s1 * cing, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
 
 
-def _group_blocks(win):
-    """Yield ``(g0, g1, cols)`` over consecutive blocks of whole groups.
+def _row_bounds(win, groups_per_block, coutg):
+    """Output-row boundaries of the forward blocks of ``groups_per_block`` groups.
 
-    ``cols`` is the ``(N, g1 - g0, cing*kh*kw, OH*OW)`` patch matrix of
-    groups ``g0 .. g1-1``. A block holds as many groups as fit in
-    ``CONV_BLOCK_BYTES`` (at least one), so its patch matrix is still in
-    cache when its GEMMs read it. An ungrouped conv is one block, and a 1x1
-    stride-1 conv without padding gets a view of its input, not a copy.
+    One block when its patch matrix fits ``CONV_PATCH_CAP``. Otherwise the
+    fewest blocks that fit, as even as steps of ``unit`` rows allow; a step
+    is a multiple of 16 output columns, so each column meets the same BLAS
+    kernel tiles as in one GEMM. A map whose size is no multiple of 16 stays
+    whole. Each block also stays on the GEMM path of the whole map: OpenBLAS
+    runs GEMMs of at most 100**3 MACs on a small-matrix kernel, which sums a
+    long contraction in another order. (``coutg == 1`` is a matrix-vector
+    product, with one path.)
+    """
+    n, _, cing, kh, kw, oh, ow = win.shape
+    k = cing * kh * kw
+    row_bytes = n * groups_per_block * k * ow * win.itemsize
+    if oh * row_bytes <= CONV_PATCH_CAP or (oh * ow) % 16:
+        return [0, oh]
+    unit = 16 // math.gcd(ow, 16)           # divides oh, as 16 divides oh * ow
+    units = oh // unit
+    blocks = -(-units // max(1, CONV_PATCH_CAP // (unit * row_bytes)))
+    unit_macs = coutg * k * ow * unit       # of one GEMM
+    if coutg > 1 and units * unit_macs > 100**3:
+        blocks = min(blocks, units // (100**3 // unit_macs + 1))
+    return [unit * (units * i // blocks) for i in range(blocks + 1)]
+
+
+def _blocks(win, coutg=None):
+    """Yield ``(g0, g1, r0, r1)``: blocks of whole groups and output rows.
+
+    A block holds as many groups as fit in ``CONV_BLOCK_BYTES`` (at least
+    one), so its patch matrix is still in cache when its GEMMs read it; an
+    ungrouped conv is one block of groups. Given the GEMMs' row count
+    ``coutg``, a block above ``CONV_PATCH_CAP`` is split into blocks of output
+    rows (see :func:`_row_bounds`); without it, every block has all rows.
     """
     n, groups, cing, kh, kw, oh, ow = win.shape
-    k, length = cing * kh * kw, oh * ow
-    step = max(1, CONV_BLOCK_BYTES // max(n * k * length * win.itemsize, 1))
+    step = max(1, CONV_BLOCK_BYTES // max(n * cing * kh * kw * oh * ow * win.itemsize, 1))
     for g0 in range(0, groups, step):
         g1 = min(g0 + step, groups)
-        yield g0, g1, np.ascontiguousarray(win[:, g0:g1].reshape(n, g1 - g0, k, length))
+        bounds = [0, oh] if coutg is None else _row_bounds(win, g1 - g0, coutg)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            yield g0, g1, r0, r1
+
+
+def _patches(win, g0, g1, r0, r1):
+    """The ``(N, g1 - g0, cing*kh*kw, (r1 - r0)*OW)`` patch matrix of a block.
+
+    A 1x1 stride-1 conv without padding gets a view of its input, not a copy.
+    """
+    n, _, cing, kh, kw, _, ow = win.shape
+    cols = win[:, g0:g1, ..., r0:r1, :].reshape(n, g1 - g0, cing * kh * kw, (r1 - r0) * ow)
+    return np.ascontiguousarray(cols)
+
+
+def _group_blocks(win):
+    """Yield ``(g0, g1, cols)`` over blocks of whole groups with all output rows."""
+    oh = win.shape[-2]
+    for g0, g1, _, _ in _blocks(win):
+        yield g0, g1, _patches(win, g0, g1, 0, oh)
 
 
 def _conv2d_fast(x, w, bias, stride, padding, groups):
@@ -329,8 +394,12 @@ def _conv2d_fast(x, w, bias, stride, padding, groups):
     oh, ow = win.shape[-2:]
     w2 = w.reshape(groups, cout // groups, cing * kh * kw)
     out = np.empty((n, groups, cout // groups, oh * ow), dtype=np.result_type(x, w))
-    for g0, g1, cols in _group_blocks(win):
-        np.matmul(w2[g0:g1], cols, out=out[:, g0:g1])
+    # a 1x1 stride-1 conv's patch matrix is a view of its input: nothing to bound
+    coutg = None if kh == kw == 1 and stride == (1, 1) else cout // groups
+    for g0, g1, r0, r1 in _blocks(win, coutg):
+        # built inside the call, so one block's patch matrix is alive at a time
+        np.matmul(w2[g0:g1], _patches(win, g0, g1, r0, r1),
+                  out=out[:, g0:g1, :, r0 * ow:r1 * ow])
     out = out.reshape(n, cout, oh, ow)
     if bias is not None:
         out += bias.reshape(1, cout, 1, 1)
@@ -512,7 +581,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # ---------------------------------------------------------------------------
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU."""
+    """Exact-erf GELU.
+
+    Without a tape to keep ``phi`` for backward, the result is computed in one
+    buffer, bitwise equal to ``x * phi``.
+    """
+    if not records_tape((x,)):
+        data = x.data * INV_SQRT2
+        erf(data, out=data)
+        data += 1.0
+        data *= 0.5
+        data *= x.data
+        return make_result(data, (x,), "gelu", None)
     phi = 0.5 * (1.0 + erf(x.data * INV_SQRT2))
     data = x.data * phi
 

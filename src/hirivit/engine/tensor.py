@@ -96,11 +96,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
 
+def records_tape(parents: tuple) -> bool:
+    """Whether an op on ``parents`` goes on the tape: grads are live and a parent needs one."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_result(data: np.ndarray, parents: Iterable[Tensor], op: str,
                 backward: Optional[Callable[[np.ndarray], None]]) -> Tensor:
-    """Wrap an op result, recording tape edges only when grads are live."""
+    """Wrap an op result, recording tape edges only when :func:`records_tape`."""
     parents = tuple(parents)
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    needs = records_tape(parents)
     out = Tensor(data, requires_grad=needs, op=op)
     if needs:
         out._parents = parents

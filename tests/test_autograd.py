@@ -269,6 +269,68 @@ def test_blocked_conv2d_matches_one_block_and_loops(name, groups_per_block, monk
         assert got.shape == ref.shape and np.abs(got - ref).max() < 1e-12
 
 
+# x shape, w shape, stride, padding, groups; 48 output rows of 7 or 13 columns,
+# so a row block is a multiple of 16 rows
+ROW_CASES = {
+    "dense_s1_p1_b1_w7": ((1, 2, 48, 7), (3, 2, 3, 3), 1, 1, 1),
+    "dense_s1_p0_b3_w13": ((3, 2, 50, 15), (3, 2, 3, 3), 1, 0, 1),
+    "dense_s2_p1_b3_w7": ((3, 2, 96, 13), (3, 2, 3, 3), 2, 1, 1),
+    "dense_s2_p0_b1_w13": ((1, 2, 97, 27), (3, 2, 3, 3), 2, 0, 1),
+    "depthwise_s1_p1_b3_w13": ((3, 3, 48, 13), (3, 1, 3, 3), 1, 1, 3),
+}
+
+
+def _row_blocked_run(name, cap, monkeypatch):
+    xs, ws, s, p, groups = ROW_CASES[name]
+    monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1)      # one group per block
+    monkeypatch.setattr(ops, "CONV_PATCH_CAP", cap)
+    rng = np.random.default_rng(22)
+    x, w, b = t(rng.standard_normal(xs)), t(rng.standard_normal(ws)), t(rng.standard_normal(ws[0]))
+    y = ops.conv2d(x, w, b, stride=s, padding=p, groups=groups)
+    g = rng.standard_normal(y.shape)
+    backward(ops.tsum(ops.mul(y, t(g, rg=False))))
+    win = ops._windows(x.data, *ws[2:], (s, s), (p, p), groups)
+    rows = [r1 - r0 for g0, _, r0, r1 in ops._blocks(win, ws[0] // groups) if g0 == 0]
+    return (y.data, x.grad, w.grad, b.grad), rows, g
+
+
+@pytest.mark.parametrize("name, units_per_block", [
+    (name, k) for name in sorted(ROW_CASES) for k in (1, 2)])
+def test_row_blocked_conv2d_matches_one_block_and_loops(name, units_per_block, monkeypatch):
+    xs, ws, s, p, groups = ROW_CASES[name]
+    n, (_, cing, kh, kw) = xs[0], ws
+    oh, ow = 48, (xs[3] + 2 * p - kw) // s + 1
+    unit_bytes = n * cing * kh * kw * 16 * ow * 8       # 16 rows of one group
+    one, rows_one, g = _row_blocked_run(name, 1 << 62, monkeypatch)
+    many, rows, _ = _row_blocked_run(name, units_per_block * unit_bytes, monkeypatch)
+    assert rows_one == [oh]
+    assert rows == ([16, 16, 16] if units_per_block == 1 else [16, 32])
+    for a, b in zip(one, many):
+        assert (a == b).all()
+    rng = np.random.default_rng(22)
+    x, wt, bias = rng.standard_normal(xs), rng.standard_normal(ws), rng.standard_normal(ws[0])
+    gx, gw = loop_conv2d_grads(x, wt, g, (s, s), (p, p), groups)
+    refs = (loop_conv2d(x, wt, bias, (s, s), (p, p), groups), gx, gw, g.sum(axis=(0, 2, 3)))
+    for got, ref in zip(many, refs):
+        assert got.shape == ref.shape and np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("hw, blocks", [(58, 7), (16, 1)])
+def test_row_blocks_keep_the_gemm_path_of_the_whole_map(hw, blocks, monkeypatch):
+    # 56x56 outputs, K = 576: one GEMM of 4 x 576 x 3136 MACs. A 2-row block
+    # (112 columns, 258k MACs) would fall to the BLAS small-matrix kernel and
+    # sum in another order; 8-row blocks stay above 100**3 MACs. A 14x14 map
+    # (196 columns, no multiple of 16) is never split.
+    rng = np.random.default_rng(23)
+    x, w = rng.standard_normal((1, 64, hw, hw)), rng.standard_normal((4, 64, 3, 3))
+    monkeypatch.setattr(ops, "CONV_PATCH_CAP", 1 << 62)
+    whole = ops._conv2d_fast(x, w, None, (1, 1), (0, 0), 1)
+    monkeypatch.setattr(ops, "CONV_PATCH_CAP", 1)
+    win = ops._windows(x, 3, 3, (1, 1), (0, 0), 1)
+    assert len(list(ops._blocks(win, 4))) == blocks
+    assert ops._conv2d_fast(x, w, None, (1, 1), (0, 0), 1).tobytes() == whole.tobytes()
+
+
 def test_gelu_derivative_17_points():
     xs = np.linspace(-4, 4, 17)
     x = t(xs)

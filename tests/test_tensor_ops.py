@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from hirivit.engine import Tensor, loop_conv2d, loop_linear, loop_matmul, ops
+from hirivit.engine import Tensor, backward, loop_conv2d, loop_linear, loop_matmul, no_grad, ops
 from hirivit.errors import ConfigError, ResolutionError, ShapeError
 
 
@@ -57,6 +58,22 @@ class TestConv2d:
     def test_resolution_underflow(self):
         with pytest.raises(ResolutionError):
             ops.conv2d(t(np.ones((1, 1, 2, 2))), t(np.ones((1, 1, 3, 3))))
+
+    @pytest.mark.parametrize("xs, ws, groups", [
+        ((4, 4, 32, 32), (4, 4, 3, 3), 1),     # 1.2 MB of patches in one block
+        ((2, 4, 64, 64), (4, 1, 3, 3), 4),     # 0.6 MB of patches per group
+    ], ids=["dense", "depthwise"])
+    def test_row_blocks_bound_the_working_set(self, xs, ws, groups, monkeypatch, peak_bytes):
+        n, cin, h, w = xs
+        cout, cing, kh, kw = ws
+        cap = n * cing * kh * kw * h * w * 8 // 10     # a tenth of one group's patch matrix
+        monkeypatch.setattr(ops, "CONV_PATCH_CAP", cap)
+        rng = np.random.default_rng(3)
+        x, wt = t(rng.standard_normal(xs)), t(rng.standard_normal(ws))
+        with no_grad():
+            peak = peak_bytes(lambda: ops.conv2d(x, wt, padding=1, groups=groups))
+        out, padded = n * cout * h * w * 8, n * cin * (h + 2) * (w + 2) * 8
+        assert peak <= 1.1 * (out + padded + cap)
 
 
 class TestLinear:
@@ -282,6 +299,28 @@ class TestGelu:
         y = ops.gelu(t([30.0, -30.0]))
         assert abs(y.data[0] - 30.0) < 1e-12
         assert abs(y.data[1]) < 1e-12
+
+    def test_without_a_tape_allocates_one_output(self, peak_bytes):
+        x = t(np.random.default_rng(4).standard_normal((4, 8, 32, 32)))
+        with no_grad():
+            peak = peak_bytes(lambda: ops.gelu(x))
+        assert peak <= 1.1 * x.data.nbytes
+
+    def test_without_a_tape_matches_the_tape_bitwise(self):
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal((3, 5, 7, 9)) * 4
+        g = rng.standard_normal(xs.shape)
+        x = t(xs, rg=True)
+        y = ops.gelu(x)
+        backward(ops.tsum(ops.mul(y, t(g))))
+        with no_grad():
+            y_no_grad = ops.gelu(x)
+        y_no_parent = ops.gelu(t(xs))
+        phi = 0.5 * (1.0 + erf(xs * ops.INV_SQRT2))
+        pdf = ops.INV_SQRT2PI * np.exp(-0.5 * xs * xs)
+        assert y.data.tobytes() == (xs * phi).tobytes()
+        assert y_no_grad.data.tobytes() == y_no_parent.data.tobytes() == y.data.tobytes()
+        assert x.grad.tobytes() == (g * (phi + xs * pdf)).tobytes()
 
 
 class TestSpatial:

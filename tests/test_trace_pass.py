@@ -1,7 +1,5 @@
 """Costs derived from ``forward``: exact totals, an untouched model, forward's errors."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -77,15 +75,9 @@ def test_oracle_and_teacher_restore_mixed_mode_flags():
     assert [_state(m)[1] for m in (model, teacher)] == before
 
 
-def test_analysis_memory_does_not_grow_with_the_input():
+def test_analysis_memory_does_not_grow_with_the_input(peak_bytes):
     model = Model(hiri_config("S", 448))
-    tracemalloc.start()
-    try:
-        count_flops(model, 1792)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak_bytes(lambda: count_flops(model, 1792)) < 20 * 2**20
 
 
 @pytest.mark.parametrize("make", [lambda: Model(hiri_config("S", 448)),
@@ -103,6 +95,19 @@ def test_analysis_rejects_an_empty_batch(make):
 def test_analysis_rejects_what_forward_rejects_and_names_the_module(res, where):
     with pytest.raises(ResolutionError, match=where):
         count_flops(Model(hiri_config("S", 448)), res)
+
+
+@pytest.mark.parametrize("in_shape", [(2, 4, 64, 64), (2, 3, 64)])
+def test_trace_errors_name_the_callers_input_shape(in_shape):
+    with pytest.raises(ShapeError) as info:
+        Model(hiri_micro_config()).out_shape(in_shape)
+    assert f"got {in_shape}" in str(info.value)
+
+
+def test_trace_errors_from_inner_modules_add_the_input_shape():
+    with pytest.raises(ResolutionError) as info:
+        count_flops(Model(hiri_config("S", 448)), 36)
+    assert str(info.value).endswith("(input shape (1, 3, 36, 36))")
 
 
 class _Spy:
