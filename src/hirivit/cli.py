@@ -190,6 +190,16 @@ def cmd_verify_tables(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _non_negative(convert):
+    """An argparse type: ``convert`` the text, rejecting a negative value or NaN."""
+    def parse(text):
+        if not (value := convert(text)) >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+    parse.__name__ = convert.__name__      # argparse's "invalid int value" wording
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hirivit",
@@ -210,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     pg.add_argument("--block", help="single block name (default: all)")
-    pg.add_argument("--tol", type=float, default=1e-4)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--tol", type=_non_negative(float), default=1e-4)
+    pg.add_argument("--seed", type=_non_negative(int), default=0)
     pg.set_defaults(fn=cmd_gradcheck)
 
     pt = sub.add_parser("train", help="train on the synthetic dataset")
     pt.add_argument("--config", help="model config file (default: micro variant)")
     pt.add_argument("--variant", choices=["S", "B", "L"])
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=_non_negative(int), default=0)
     pt.add_argument("--steps", type=int, default=200)
     pt.add_argument("--alpha", type=float, default=0.5)
     pt.add_argument("--ema-decay", type=float, default=0.9998)
@@ -226,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-tables",
                         help="check built models against published costs")
-    pv.add_argument("--tol-params", type=float, default=0.03)
-    pv.add_argument("--tol-flops", type=float, default=0.10)
+    pv.add_argument("--tol-params", type=_non_negative(float), default=0.03)
+    pv.add_argument("--tol-flops", type=_non_negative(float), default=0.10)
     pv.set_defaults(fn=cmd_verify_tables)
     return p
 

@@ -1,7 +1,11 @@
 """Declarative model configuration and its text file format.
 
-The config file is line-oriented key/value text with one ``[stage N]``
-section per stage, e.g.::
+The dataclass fields are the schema of the text format: ``[model]`` holds
+the fields of :class:`ModelConfig` but ``stages``, and each ``[stage N]``
+section, numbered from 1, those of one :class:`StageSpec`, in field order.
+A field without a default is a required key, and its annotation picks its
+value form in ``_FORMS``. ``serialize_config`` leaves out the optional keys
+that hold their default, e.g.::
 
     [model]
     name = hiri_s
@@ -18,12 +22,13 @@ section per stage, e.g.::
     channels = 32
     expansion = 4
 
-Unknown keys, and a key or section given twice, are rejected.
+Unknown keys, missing required keys, and a key or section given twice are
+rejected; each error names its line or section and the key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
 
@@ -81,8 +86,8 @@ class ModelConfig:
     resolution: tuple[int, int]
     num_classes: int
     stem: str
-    stages: list[StageSpec] = field(default_factory=list)
-    downsamplers: list[str] = field(default_factory=list)
+    stages: list[StageSpec]
+    downsamplers: list[str]
     head_hidden: int | None = None
     anchor_resolution: int | None = None
 
@@ -144,39 +149,6 @@ class ModelConfig:
 # text serialization
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = ("name", "resolution", "num_classes", "stem", "downsamplers",
-               "head_hidden", "anchor_resolution")
-_STAGE_KEYS = tuple(f.name for f in fields(StageSpec))
-_STAGE_DEFAULTS = {f.name: f.default for f in fields(StageSpec)}
-
-
-def serialize_config(cfg: ModelConfig) -> str:
-    lines = ["[model]",
-             f"name = {cfg.name}",
-             f"resolution = {cfg.resolution[0]}x{cfg.resolution[1]}",
-             f"num_classes = {cfg.num_classes}",
-             f"stem = {cfg.stem}",
-             f"downsamplers = {', '.join(cfg.downsamplers)}"]
-    if cfg.head_hidden is not None:
-        lines.append(f"head_hidden = {cfg.head_hidden}")
-    if cfg.anchor_resolution is not None:
-        lines.append(f"anchor_resolution = {cfg.anchor_resolution}")
-    for i, s in enumerate(cfg.stages, 1):
-        lines.append("")
-        lines.append(f"[stage {i}]")
-        lines.append(f"kind = {s.kind}")
-        lines.append(f"depth = {s.depth}")
-        lines.append(f"channels = {s.channels}")
-        lines.append(f"expansion = {s.expansion}")
-        if s.heads is not None:
-            lines.append(f"heads = {s.heads}")
-        for key in ("sr_ratio", "norm", "attn_norm", "use_cffn", "kv_reduce"):
-            val = getattr(s, key)
-            if val != _STAGE_DEFAULTS[key]:
-                lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
@@ -190,20 +162,48 @@ def _parse_hw(raw: str) -> tuple[int, int]:
     return int(h), int(w)
 
 
-_INT = (int, "an integer")
-_CONVERTERS = {  # key -> (text to value, what the text must be); others stay text
-    "resolution": (_parse_hw, "HxW with integer sides"), "num_classes": _INT,
-    "head_hidden": _INT, "anchor_resolution": _INT, "depth": _INT,
-    "channels": _INT, "expansion": _INT, "heads": _INT, "sr_ratio": _INT,
-    "use_cffn": (_parse_bool, "a boolean"),
+_INT = (int, str, "an integer")
+# field annotation -> (text to value, value to text, what the text must be)
+_FORMS = {
+    "str": (str, str, "text"),
+    "int": _INT,
+    "int | None": _INT,
+    "tuple[int, int]": (_parse_hw, lambda hw: f"{hw[0]}x{hw[1]}", "HxW with integer sides"),
+    "bool": (_parse_bool, str, "a boolean"),
+    "list[str]": (lambda raw: [v.strip() for v in raw.split(",") if v.strip()],
+                  ", ".join, "a comma-separated list"),
 }
 
 
-def _values(entries: dict) -> dict:
-    """Convert ``key -> (text, line)`` entries; a bad value names line and key."""
+def _keys(cls) -> dict:
+    """Key -> field of a ``cls`` section; ``stages`` are the stage sections."""
+    return {f.name: f for f in fields(cls) if f.name != "stages"}
+
+
+def _lines(obj) -> list[str]:
+    """``key = value`` lines of the required keys and of non-default optional ones."""
+    return [f"{key} = {_FORMS[f.type][1](getattr(obj, key))}"
+            for key, f in _keys(type(obj)).items()
+            if f.default is MISSING or getattr(obj, key) != f.default]
+
+
+def serialize_config(cfg: ModelConfig) -> str:
+    lines = ["[model]", *_lines(cfg)]
+    for i, s in enumerate(cfg.stages, 1):
+        lines += ["", f"[stage {i}]", *_lines(s)]
+    return "\n".join(lines) + "\n"
+
+
+def _values(cls, entries: dict, missing: str) -> dict:
+    """Convert ``key -> (text, line)`` entries of a ``cls`` section; a bad
+    value names its line and key, an absent required key follows ``missing``."""
+    keys = _keys(cls)
+    for key, f in keys.items():
+        if f.default is MISSING and key not in entries:
+            raise ConfigError(f"{missing} {key!r}")
     out = {}
     for key, (raw, lineno) in entries.items():
-        convert, expected = _CONVERTERS.get(key, (str, ""))
+        convert, _, expected = _FORMS[keys[key].type]
         try:
             out[key] = convert(raw)
         except ValueError:
@@ -248,35 +248,24 @@ def parse_config(text: str) -> ModelConfig:
         key, _, raw_val = line.partition("=")
         key = key.strip()
         val = raw_val.strip()
-        if section[0] == "model":
-            if key not in _MODEL_KEYS:
-                raise ConfigError(f"line {lineno}: unknown model key {key!r}")
-            values = model
-        else:
-            if key not in _STAGE_KEYS:
-                raise ConfigError(f"line {lineno}: unknown stage key {key!r}")
-            values = stages[section[1]]
+        cls, values = ((ModelConfig, model) if section[0] == "model"
+                       else (StageSpec, stages[section[1]]))
+        if key not in _keys(cls):
+            raise ConfigError(f"line {lineno}: unknown {section[0]} key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: key {key!r} repeats the one on line"
                               f" {values[key][1]}")
         values[key] = (val, lineno)
 
-    for req in ("name", "resolution", "num_classes", "stem", "downsamplers"):
-        if req not in model:
-            raise ConfigError(f"missing model key {req!r}")
-    model = _values(model)
-    downs = [d.strip() for d in model.pop("downsamplers").split(",") if d.strip()]
+    model = _values(ModelConfig, model, "missing model key")
 
     specs = []
     for idx in sorted(stages):
         if idx != len(specs) + 1:
             raise ConfigError(f"stage sections must be contiguous from 1, got {idx}")
-        sd = stages[idx]
-        for req in ("kind", "depth", "channels", "expansion"):
-            if req not in sd:
-                raise ConfigError(f"stage {idx}: missing key {req!r}")
-        specs.append(StageSpec(**_values(sd)))
+        specs.append(StageSpec(**_values(StageSpec, stages[idx],
+                                         f"stage {idx}: missing key")))
 
-    cfg = ModelConfig(stages=specs, downsamplers=downs, **model)
+    cfg = ModelConfig(stages=specs, **model)
     cfg.validate()
     return cfg

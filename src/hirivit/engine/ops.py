@@ -32,13 +32,12 @@ Conventions
   key's bytes, and computes each query row on its own, so a permutation of
   the query rows permutes its output rows bitwise. The query-key product
   (``matmul``) is a plain BLAS call and carries no such guarantee.
-* Forward kernels for conv2d, matmul and ordered_matmul dispatch through a
-  swappable backend: the vectorized ``FastBackend``, the MAC-counting loops
-  of ``reference.CountingBackend`` or the analyzer's ``ShapeBackend``, which
+* Forward kernels for conv2d and matmul dispatch through a swappable
+  backend: the vectorized ``FastBackend``, the MAC-counting loops of
+  ``reference.CountingBackend`` or the analyzer's ``ShapeBackend``, which
   runs the fast kernels and notes each contraction's length. ``linear`` is
-  the backend's ``matmul`` plus a bias. The last two backends alias
-  ``ordered_matmul`` to their ``matmul``: summation order changes no shape
-  and no MAC count.
+  the backend's ``matmul`` plus a bias, and ``ordered_matmul`` sorts its
+  keys and sends the per-row product through the backend's ``matmul``.
 """
 
 from __future__ import annotations
@@ -78,21 +77,6 @@ class FastBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b)
 
-    def ordered_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The canonical-order contraction of :func:`ordered_matmul`."""
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        (m, k), p = a.shape[-2:], b.shape[-1]
-        a3 = np.broadcast_to(a, lead + (m, k)).reshape(-1, m, k)
-        b3 = np.broadcast_to(b, lead + (k, p)).reshape(-1, k, p)
-        # (batch, key, value row + attention column), one void item per key
-        keys = np.ascontiguousarray(
-            np.concatenate([b3, np.swapaxes(a3, 1, 2)], axis=-1))
-        items = keys.view(np.dtype((np.void, keys.strides[1])))[..., 0]
-        order = np.argsort(items, axis=-1, kind="stable")
-        keys = keys[np.arange(len(keys))[:, None], order]
-        a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
-        return np.matmul(a3[:, :, None, :], b3[:, None, :, :]).reshape(lead + (m, p))
-
     def conv2d(self, x, w, bias, stride, padding, groups):
         return _conv2d_fast(x, w, bias, stride, padding, groups)
 
@@ -109,8 +93,6 @@ class ShapeBackend(FastBackend):
     def matmul(self, a, b):
         self.k = a.shape[-1]
         return super().matmul(a, b)
-
-    ordered_matmul = matmul
 
     def conv2d(self, x, w, bias, stride, padding, groups):
         self.k = w[0].size
@@ -239,11 +221,15 @@ def _matmul_result(data, a: Tensor, b: Tensor, op: str) -> Tensor:
     return make_result(data, (a, b), op, bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_inner(a: Tensor, b: Tensor):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
             f" (axis -1 of lhs is {a.shape[-1]}, axis -2 of rhs is {b.shape[-2]})")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_inner(a, b)
     return _matmul_result(current_backend().matmul(a.data, b.data), a, b, "matmul")
 
 
@@ -261,11 +247,19 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
     single GEMM would not do: the result for a row can depend on the row's
     position in the block.
     """
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return _matmul_result(current_backend().ordered_matmul(a.data, b.data), a, b,
-                          "ordered_matmul")
+    _check_inner(a, b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    (m, k), p = a.shape[-2:], b.shape[-1]
+    a3 = np.broadcast_to(a.data, lead + (m, k)).reshape(-1, m, k)
+    b3 = np.broadcast_to(b.data, lead + (k, p)).reshape(-1, k, p)
+    # (batch, key, value row + attention column), one void item per key
+    keys = np.ascontiguousarray(np.concatenate([b3, np.swapaxes(a3, 1, 2)], axis=-1))
+    items = keys.view(np.dtype((np.void, keys.strides[1])))[..., 0]
+    order = np.argsort(items, axis=-1, kind="stable")
+    keys = keys[np.arange(len(keys))[:, None], order]
+    a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
+    data = current_backend().matmul(a3[:, :, None, :], b3[:, None, :, :])
+    return _matmul_result(data.reshape(lead + (m, p)), a, b, "ordered_matmul")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -581,19 +575,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # ---------------------------------------------------------------------------
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU.
+    """Exact-erf GELU, ``x * phi``.
 
-    Without a tape to keep ``phi`` for backward, the result is computed in one
-    buffer, bitwise equal to ``x * phi``.
+    ``phi`` is computed in one buffer. Without a tape to keep it for
+    backward, it is multiplied by ``x`` in place, bitwise equal to ``x * phi``.
     """
+    phi = x.data * INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     if not records_tape((x,)):
-        data = x.data * INV_SQRT2
-        erf(data, out=data)
-        data += 1.0
-        data *= 0.5
-        data *= x.data
-        return make_result(data, (x,), "gelu", None)
-    phi = 0.5 * (1.0 + erf(x.data * INV_SQRT2))
+        phi *= x.data
+        return make_result(phi, (x,), "gelu", None)
     data = x.data * phi
 
     def bw(g):

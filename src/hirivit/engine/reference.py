@@ -117,7 +117,7 @@ def loop_conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 class CountingBackend:
     """Executes conv/matmul through the loop kernels; counts MACs in ``macs``.
 
-    ``ops.linear`` reaches it through ``matmul``.
+    ``ops.linear`` and ``ops.ordered_matmul`` reach it through ``matmul``.
     """
 
     def __init__(self):
@@ -125,8 +125,6 @@ class CountingBackend:
 
     def matmul(self, a, b):
         return loop_matmul(a, b, self)
-
-    ordered_matmul = matmul
 
     def conv2d(self, x, w, bias, stride, padding, groups):
         return loop_conv2d(x, w, bias, stride, padding, groups, self)

@@ -10,10 +10,15 @@ Checkpoint layout (version 1, little-endian):
         u64*rank extents
         f64*prod(extents) payload
     u32    CRC32 over all payload bytes, in record order
+
+The CRC covers the payload bytes only. A flipped name byte that stays valid
+UTF-8 loads under the altered name; ``ParamTree.copy_into`` (``load_state``)
+then rejects the tree and names that entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -75,14 +80,17 @@ class ParamTree:
         return out
 
     def copy_into(self, other: "ParamTree"):
-        """Copy values into an isomorphic tree, preserving array identity."""
-        if other.paths() != self.paths():
-            raise ConfigError("parameter trees are not isomorphic")
-        for path, t in self._entries.items():
-            dst = other[path]
-            if dst.shape != t.shape:
-                raise ConfigError(f"shape mismatch at {path}: {dst.shape} vs {t.shape}")
-            np.copyto(dst.data, t.data)
+        """Copy values into an isomorphic tree, preserving array identity; if the
+        trees differ, copy nothing and name the first path or shape that does."""
+        for i, (path, dst) in enumerate(itertools.zip_longest(self.paths(), other.paths())):
+            if path != dst:
+                raise ConfigError(f"parameter trees are not isomorphic: entry {i} is"
+                                  f" {path!r} here and {dst!r} in the target")
+            if other[path].shape != self[path].shape:
+                raise ConfigError(f"shape mismatch at {path}: {other[path].shape}"
+                                  f" vs {self[path].shape}")
+        for path, t in self.items():
+            np.copyto(other[path].data, t.data)
 
     def allclose(self, other: "ParamTree", atol=0.0) -> bool:
         if other.paths() != self.paths():

@@ -1,5 +1,6 @@
 """Checkpoint binary format and config text format round trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -67,6 +68,16 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def test_copy_into_names_the_first_differing_shape_and_copies_nothing(self):
+        src, dst = ParamTree(), ParamTree()
+        src.add("a", Tensor(np.ones(3)), True)
+        src.add("b", Tensor(np.ones((2, 3))), True)
+        dst.add("a", Tensor(np.zeros(3)), True)
+        dst.add("b", Tensor(np.zeros((3, 2))), True)
+        with pytest.raises(ConfigError, match=re.escape("shape mismatch at b: (3, 2) vs (2, 3)")):
+            src.copy_into(dst)
+        assert not dst["a"].data.any()
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.hiri")
@@ -143,6 +154,24 @@ class TestCorruptCheckpoint:
                     bad[at] ^= mask
                     seen.add(self._outcome(saved, bytes(bad), tmp_path))
         assert seen <= {"error", "renamed"} and "error" in seen
+
+    @pytest.mark.parametrize("record", [0, -1])
+    def test_flipped_name_byte_loads_and_load_state_names_it(self, saved, tmp_path,
+                                                             record):
+        """The CRC covers payloads only: a name byte flipped to another valid
+        character loads, and ``load_state`` names the altered path."""
+        model, tree, blob = saved
+        _, name_at, _, _, _ = self._records(tree)[record]
+        path = tree.paths()[record]
+        bad = bytearray(blob)
+        bad[name_at] = ord("X")
+        (tmp_path / "renamed.hiri").write_bytes(bytes(bad))
+        loaded = load_checkpoint(str(tmp_path / "renamed.hiri"))
+        renamed = "X" + path[1:]
+        assert loaded.paths()[record] == renamed
+        with pytest.raises(ConfigError, match=re.escape(
+                f"entry {record % len(tree)} is {renamed!r} here and {path!r} in the target")):
+            model.load_state(loaded)
 
     def test_error_names_the_offset(self, saved, tmp_path):
         _, tree, blob = saved

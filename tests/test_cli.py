@@ -158,3 +158,18 @@ def test_train_out_below_a_file_exits_2(tmp_path, capsys):
     blocker.write_text("")
     out_dir = str(blocker / "run")
     _assert_usage_error(["train", "--steps", "1", "--out", out_dir], capsys, out_dir)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--tol", "-1"],
+    ["gradcheck", "--tol", "nan"],
+    ["verify-tables", "--tol-params", "-1"],
+    ["verify-tables", "--tol-flops", "-1"],
+], ids=" ".join)
+def test_negative_value_is_a_usage_error_naming_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be >= 0, got {argv[2]}" in capsys.readouterr().err
