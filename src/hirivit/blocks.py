@@ -1,13 +1,14 @@
 """Building blocks: stems, high-resolution blocks, downsamplers, attention.
 
-Each module states its structure once, in ``forward(x)``. Two views derive
-from it:
+Each module states its structure once: its parts as attributes, their use
+in ``forward(x)``. Two views derive from it:
 
 * ``trace(shape, rec)`` -- shape inference plus static cost accounting
   (multiply-accumulates and elementwise op counts), obtained by running
-  ``forward`` on an empty batch under one engine observer, ``_CostPass``
-  (see :meth:`Module.trace` and :func:`hirivit.engine.observe`);
-* the parameter registry -- named tensors collected into a ParamTree.
+  ``forward`` on an empty batch with ``_CostPass`` as the engine's observer
+  and kernel backend (see :meth:`Module.trace`);
+* the registry -- the attributes: a ``Tensor`` that requires grad is a
+  parameter, any other ``Tensor`` a buffer, a ``Module`` a child.
 """
 
 from __future__ import annotations
@@ -55,19 +56,31 @@ _FREE_OPS = frozenset({"reshape", "transpose", "scale"})
 _RECORD_NAMES = {"matmul": "qk", "ordered_matmul": "av"}
 
 
-class _CostPass:
-    """Engine observer: charges each op result of a trace to the innermost module call.
+class _CostPass(ops.FastBackend):
+    """Engine observer and kernel backend: charges each op result of a trace
+    to the innermost module call.
 
     A leaf module (no children) gets one record at its own path; an op run
     directly by a composite module gets a record ``<path>.<op>``. The trace
     runs on an empty batch, and every op keeps the batch on axis 0, so a
-    result stands for ``batch`` in axis 0 and its own axes from 1 on.
+    result stands for ``batch`` in axis 0 and its own axes from 1 on. As the
+    backend it runs the fast kernels, which do no arithmetic on that batch,
+    and notes the contraction length of the last call in ``k``.
     """
+
+    k = 0
 
     def __init__(self, rec: CostRecorder, paths: dict, batch: int):
         self.rec, self.paths, self.batch = rec, paths, batch
-        self.backend = ops.ShapeBackend()
         self.frames = []           # (path, [params, macs, elementwise, activations], leaf)
+
+    def matmul(self, a, b):
+        self.k = a.shape[-1]
+        return super().matmul(a, b)
+
+    def conv2d(self, x, w, bias, stride, padding, groups):
+        self.k = w[0].size
+        return super().conv2d(x, w, bias, stride, padding, groups)
 
     def call(self, module, x):
         path = self.paths[id(module)]
@@ -88,9 +101,9 @@ class _CostPass:
         return out
 
     def on_result(self, out):
-        # contractions note their length in the backend and cost that many
-        # MACs per output element; every other op costs one elementwise op
-        k, self.backend.k = self.backend.k, 0
+        # contractions note their length in ``k`` and cost that many MACs
+        # per output element; every other op costs one elementwise op
+        k, self.k = self.k, 0
         if out.op in _FREE_OPS:
             return
         path, cost, leaf = self.frames[-1]
@@ -102,30 +115,39 @@ class _CostPass:
             self.rec.add(f"{path}.{_RECORD_NAMES.get(out.op, out.op)}", *op_cost)
 
 
+def param(shape) -> Tensor:
+    """A zero trainable tensor; assigned to a module attribute, it is a parameter."""
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
 class Module:
-    """Minimal module tree: named parameters, buffers, children, train mode."""
+    """Minimal module tree: named parameters, buffers, children, train mode.
+
+    The registry is a read-only view of the attributes, in assignment order:
+    a ``Tensor`` with ``requires_grad`` is a parameter (see :func:`param`),
+    any other ``Tensor`` a buffer and a ``Module`` a child, named by the
+    attribute in checkpoint paths. A value a module caches must be an array,
+    not a ``Tensor``, or it becomes a buffer and so a checkpoint entry.
+    """
 
     def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._buffers: dict[str, Tensor] = {}
-        self._children: dict[str, "Module"] = {}
         self.training = True
 
     # -- registry ------------------------------------------------------
 
-    def add_param(self, name: str, shape) -> Tensor:
-        p = Tensor(np.zeros(shape, dtype=np.float64), requires_grad=True)
-        self._params[name] = p
-        return p
+    @property
+    def _params(self) -> dict[str, Tensor]:
+        return {k: v for k, v in vars(self).items()
+                if isinstance(v, Tensor) and v.requires_grad}
 
-    def add_buffer(self, name: str, array: np.ndarray) -> Tensor:
-        b = Tensor(np.asarray(array, dtype=np.float64))
-        self._buffers[name] = b
-        return b
+    @property
+    def _buffers(self) -> dict[str, Tensor]:
+        return {k: v for k, v in vars(self).items()
+                if isinstance(v, Tensor) and not v.requires_grad}
 
-    def add_child(self, name: str, module: "Module") -> "Module":
-        self._children[name] = module
-        return module
+    @property
+    def _children(self) -> dict[str, "Module"]:
+        return {k: v for k, v in vars(self).items() if isinstance(v, Module)}
 
     def named_entries(self, prefix: str = ""):
         """(path, tensor, trainable) for params and buffers, depth-first."""
@@ -177,9 +199,9 @@ class Module:
         """Cost records and output shape of ``forward`` on an input shape.
 
         Runs ``forward`` in eval mode without a tape on an empty batch,
-        ``(0,) + in_shape[1:]``, through the real kernels of
-        :class:`~hirivit.engine.ops.ShapeBackend`, with a ``_CostPass``
-        observing it. The kernels do no arithmetic on it and give forward's
+        ``(0,) + in_shape[1:]``, with a ``_CostPass`` installed as both the
+        engine's observer and its kernel backend, which runs the real
+        kernels. The kernels do no arithmetic on it and give forward's
         own output shapes, and forward's own shape checks apply; their errors
         name ``in_shape``, not the empty batch. Costs and shapes are those of
         a batch of ``in_shape[0] >= 1``. Every module's ``training`` flag and
@@ -191,7 +213,7 @@ class Module:
         empty = (0,) + in_shape[1:]
         cost = _CostPass(rec, {id(m): p for p, m in self.named_modules(path)}, in_shape[0])
         try:
-            with eval_mode(self), no_grad(), ops.use_backend(cost.backend), observe(cost):
+            with eval_mode(self), no_grad(), ops.use_backend(cost), observe(cost):
                 self(Tensor(np.empty(empty)))
         except (ShapeError, ResolutionError) as exc:
             msg = str(exc).replace(str(empty), str(in_shape))
@@ -233,12 +255,12 @@ class Conv2d(Module):
         if cin % groups or cout % groups:
             raise ConfigError(
                 f"conv channels ({cin}->{cout}) not divisible by groups={groups}")
-        self.cin, self.cout, self.kernel = cin, cout, kernel
+        self.cin = cin
         self.stride = stride
         self.padding = kernel // 2 if padding is None else padding
         self.groups = groups
-        self.weight = self.add_param("weight", (cout, cin // groups, kernel, kernel))
-        self.bias = self.add_param("bias", (cout,)) if bias else None
+        self.weight = param((cout, cin // groups, kernel, kernel))
+        self.bias = param((cout,)) if bias else None
 
     def forward(self, x):
         return ops.conv2d(x, self.weight, self.bias,
@@ -249,9 +271,8 @@ class Conv2d(Module):
 class Linear(Module):
     def __init__(self, din, dout):
         super().__init__()
-        self.din, self.dout = din, dout
-        self.weight = self.add_param("weight", (dout, din))
-        self.bias = self.add_param("bias", (dout,))
+        self.weight = param((dout, din))
+        self.bias = param((dout,))
 
     def forward(self, x):
         return ops.linear(x, self.weight, self.bias)
@@ -262,11 +283,10 @@ class BatchNorm2d(Module):
 
     def __init__(self, channels):
         super().__init__()
-        self.channels = channels
-        self.gamma = self.add_param("gamma", (channels,))
-        self.beta = self.add_param("beta", (channels,))
-        self.running_mean = self.add_buffer("running_mean", np.zeros(channels))
-        self.running_var = self.add_buffer("running_var", np.ones(channels))
+        self.gamma = param((channels,))
+        self.beta = param((channels,))
+        self.running_mean = Tensor(np.zeros(channels))
+        self.running_var = Tensor(np.ones(channels))
 
     def forward(self, x):
         return ops.batch_norm(x, self.gamma, self.beta,
@@ -279,9 +299,8 @@ class LayerNorm(Module):
 
     def __init__(self, dim):
         super().__init__()
-        self.dim = dim
-        self.gamma = self.add_param("gamma", (dim,))
-        self.beta = self.add_param("beta", (dim,))
+        self.gamma = param((dim,))
+        self.beta = param((dim,))
 
     def forward(self, x):
         return ops.layer_norm(x, self.gamma, self.beta)
@@ -347,21 +366,21 @@ class HighResStem(Module):
     def __init__(self, cin, cout):
         super().__init__()
         mid = cout // 2
-        self.entry = self.add_child("entry", Conv2d(cin, mid, 3, stride=2, bias=False))
-        self.entry_norm = self.add_child("entry_norm", BatchNorm2d(mid))
-        self.entry_act = self.add_child("entry_act", GELU())
-        self.hi_dw = self.add_child("hi_dw", Conv2d(mid, mid, 3, groups=mid, bias=False))
-        self.hi_norm = self.add_child("hi_norm", BatchNorm2d(mid))
-        self.hi_act = self.add_child("hi_act", GELU())
-        self.hi_down = self.add_child("hi_down", Conv2d(mid, cout, 3, stride=2, bias=False))
-        self.lo_down = self.add_child("lo_down", Conv2d(mid, cout, 3, stride=2, bias=False))
-        self.lo_norm1 = self.add_child("lo_norm1", BatchNorm2d(cout))
-        self.lo_act1 = self.add_child("lo_act1", GELU())
-        self.lo_expand = self.add_child("lo_expand", Conv2d(cout, 2 * cout, 3, bias=False))
-        self.lo_norm2 = self.add_child("lo_norm2", BatchNorm2d(2 * cout))
-        self.lo_act2 = self.add_child("lo_act2", GELU())
-        self.lo_project = self.add_child("lo_project", Conv2d(2 * cout, cout, 1, bias=False))
-        self.out_norm = self.add_child("out_norm", BatchNorm2d(cout))
+        self.entry = Conv2d(cin, mid, 3, stride=2, bias=False)
+        self.entry_norm = BatchNorm2d(mid)
+        self.entry_act = GELU()
+        self.hi_dw = Conv2d(mid, mid, 3, groups=mid, bias=False)
+        self.hi_norm = BatchNorm2d(mid)
+        self.hi_act = GELU()
+        self.hi_down = Conv2d(mid, cout, 3, stride=2, bias=False)
+        self.lo_down = Conv2d(mid, cout, 3, stride=2, bias=False)
+        self.lo_norm1 = BatchNorm2d(cout)
+        self.lo_act1 = GELU()
+        self.lo_expand = Conv2d(cout, 2 * cout, 3, bias=False)
+        self.lo_norm2 = BatchNorm2d(2 * cout)
+        self.lo_act2 = GELU()
+        self.lo_project = Conv2d(2 * cout, cout, 1, bias=False)
+        self.out_norm = BatchNorm2d(cout)
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -387,13 +406,13 @@ class HighResBlock(Module):
     def __init__(self, channels, expansion):
         super().__init__()
         c, e = channels, expansion
-        self.pre_norm = self.add_child("pre_norm", BatchNorm2d(c))
-        self.hi_dw = self.add_child("hi_dw", Conv2d(c, c, 3, groups=c))
-        self.lo_dw = self.add_child("lo_dw", Conv2d(c, c, 3, stride=2, groups=c, bias=False))
-        self.lo_norm = self.add_child("lo_norm", BatchNorm2d(c))
-        self.lo_fc1 = self.add_child("lo_fc1", Conv2d(c, e * c, 1))
-        self.lo_act = self.add_child("lo_act", GELU())
-        self.lo_fc2 = self.add_child("lo_fc2", Conv2d(e * c, c, 1))
+        self.pre_norm = BatchNorm2d(c)
+        self.hi_dw = Conv2d(c, c, 3, groups=c)
+        self.lo_dw = Conv2d(c, c, 3, stride=2, groups=c, bias=False)
+        self.lo_norm = BatchNorm2d(c)
+        self.lo_fc1 = Conv2d(c, e * c, 1)
+        self.lo_act = GELU()
+        self.lo_fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -437,15 +456,15 @@ class DownsampleA(Module):
         super().__init__()
         stride, pre_pool, sc_pool = _resolve_resize(in_grid, out_grid)
         mid = self.expand_factor * cout
-        self.pre_pool = self.add_child("pre_pool", pre_pool)
-        self.reduce = self.add_child("reduce", Conv2d(cin, mid, 3, stride=stride, bias=False))
-        self.norm1 = self.add_child("norm1", BatchNorm2d(mid))
-        self.act1 = self.add_child("act1", GELU())
-        self.project = self.add_child("project", Conv2d(mid, cout, 1, bias=False))
-        self.norm2 = self.add_child("norm2", BatchNorm2d(cout))
-        self.act2 = self.add_child("act2", GELU())
-        self.sc_pool = self.add_child("sc_pool", sc_pool)
-        self.sc_project = self.add_child("sc_project", Conv2d(cin, cout, 1))
+        self.pre_pool = pre_pool
+        self.reduce = Conv2d(cin, mid, 3, stride=stride, bias=False)
+        self.norm1 = BatchNorm2d(mid)
+        self.act1 = GELU()
+        self.project = Conv2d(mid, cout, 1, bias=False)
+        self.norm2 = BatchNorm2d(cout)
+        self.act2 = GELU()
+        self.sc_pool = sc_pool
+        self.sc_project = Conv2d(cin, cout, 1)
 
     def forward(self, x):
         y = self.pre_pool(x)
@@ -469,14 +488,14 @@ class DownsampleB(Module):
         super().__init__()
         stride, pre_pool, sc_pool = _resolve_resize(in_grid, out_grid)
         mid = self.expand_factor * cin
-        self.pre_pool = self.add_child("pre_pool", pre_pool)
-        self.expand = self.add_child("expand", Conv2d(cin, mid, 1, bias=False))
-        self.norm1 = self.add_child("norm1", BatchNorm2d(mid))
-        self.act1 = self.add_child("act1", GELU())
-        self.dw = self.add_child("dw", Conv2d(mid, mid, 3, stride=stride, groups=mid))
-        self.project = self.add_child("project", Conv2d(mid, cout, 1))
-        self.sc_pool = self.add_child("sc_pool", sc_pool)
-        self.sc_project = self.add_child("sc_project", Conv2d(cin, cout, 1))
+        self.pre_pool = pre_pool
+        self.expand = Conv2d(cin, mid, 1, bias=False)
+        self.norm1 = BatchNorm2d(mid)
+        self.act1 = GELU()
+        self.dw = Conv2d(mid, mid, 3, stride=stride, groups=mid)
+        self.project = Conv2d(mid, cout, 1)
+        self.sc_pool = sc_pool
+        self.sc_project = Conv2d(cin, cout, 1)
 
     def forward(self, x):
         y = self.pre_pool(x)
@@ -494,8 +513,8 @@ class PlainDownsample(Module):
         if _resolve_resize(in_grid, out_grid)[0] != 2:
             raise ConfigError(f"downsamplers: 'conv' only halves the grid,"
                               f" cannot map {in_grid} -> {out_grid}")
-        self.conv = self.add_child("conv", Conv2d(cin, cout, 3, stride=2))
-        self.norm = self.add_child("norm", LayerNorm2d(cout))
+        self.conv = Conv2d(cin, cout, 3, stride=2)
+        self.norm = LayerNorm2d(cout)
 
     def forward(self, x):
         return self.norm(self.conv(x))
@@ -511,11 +530,11 @@ class ConvFFNBlock(Module):
     def __init__(self, channels, expansion, norm="bn"):
         super().__init__()
         c, e = channels, expansion
-        self.pre_norm = self.add_child("pre_norm", make_norm2d(norm, c))
-        self.fc1 = self.add_child("fc1", Conv2d(c, e * c, 1))
-        self.act = self.add_child("act", GELU())
-        self.dw = self.add_child("dw", Conv2d(e * c, e * c, 3, groups=e * c))
-        self.fc2 = self.add_child("fc2", Conv2d(e * c, c, 1))
+        self.pre_norm = make_norm2d(norm, c)
+        self.fc1 = Conv2d(c, e * c, 1)
+        self.act = GELU()
+        self.dw = Conv2d(e * c, e * c, 3, groups=e * c)
+        self.fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
         z = self.act(self.fc1(self.pre_norm(x)))
@@ -529,14 +548,24 @@ class FFNBlock(Module):
     def __init__(self, channels, expansion, norm="ln"):
         super().__init__()
         c, e = channels, expansion
-        self.pre_norm = self.add_child("pre_norm", make_norm2d(norm, c))
-        self.fc1 = self.add_child("fc1", Conv2d(c, e * c, 1))
-        self.act = self.add_child("act", GELU())
-        self.fc2 = self.add_child("fc2", Conv2d(e * c, c, 1))
+        self.pre_norm = make_norm2d(norm, c)
+        self.fc1 = Conv2d(c, e * c, 1)
+        self.act = GELU()
+        self.fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
         y = self.fc2(self.act(self.fc1(self.pre_norm(x))))
         return ops.add(x, y)
+
+
+def _tokens(x_map):
+    b, c, h, w = x_map.shape
+    return ops.transpose(ops.reshape(x_map, (b, c, h * w)), (0, 2, 1))
+
+
+def _maps(tokens, h, w):
+    b, n, c = tokens.shape
+    return ops.reshape(ops.transpose(tokens, (0, 2, 1)), (b, c, h, w))
 
 
 class Attention(Module):
@@ -562,14 +591,13 @@ class Attention(Module):
         self.head_dim = dim // heads
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.kv_reduce = kv_reduce if sr_ratio > 1 else "none"
-        self.q = self.add_child("q", Linear(dim, dim))
-        self.k = self.add_child("k", Linear(dim, dim))
-        self.v = self.add_child("v", Linear(dim, dim))
-        self.proj = self.add_child("proj", Linear(dim, dim))
+        self.q = Linear(dim, dim)
+        self.k = Linear(dim, dim)
+        self.v = Linear(dim, dim)
+        self.proj = Linear(dim, dim)
         if self.kv_reduce == "conv":
-            self.sr_conv = self.add_child(
-                "sr_conv", Conv2d(dim, dim, sr_ratio, stride=sr_ratio, padding=0))
-            self.sr_norm = self.add_child("sr_norm", LayerNorm(dim))
+            self.sr_conv = Conv2d(dim, dim, sr_ratio, stride=sr_ratio, padding=0)
+            self.sr_norm = LayerNorm(dim)
 
     # -- helpers -----------------------------------------------------------
 
@@ -578,17 +606,9 @@ class Attention(Module):
         x = ops.reshape(x, (b, n, self.heads, self.head_dim))
         return ops.transpose(x, (0, 2, 1, 3))
 
-    def _tokens(self, x_map):
-        b, c, h, w = x_map.shape
-        return ops.transpose(ops.reshape(x_map, (b, c, h * w)), (0, 2, 1))
-
-    def _maps(self, tokens, h, w):
-        b, n, c = tokens.shape
-        return ops.reshape(ops.transpose(tokens, (0, 2, 1)), (b, c, h, w))
-
     def _pool(self, tokens, h, w):
         hw = (h // self.sr_ratio, w // self.sr_ratio)
-        return self._tokens(ops.adaptive_avg_pool2d(self._maps(tokens, h, w), hw))
+        return _tokens(ops.adaptive_avg_pool2d(_maps(tokens, h, w), hw))
 
     # -- forward -----------------------------------------------------------
 
@@ -601,7 +621,7 @@ class Attention(Module):
         q = self._split_heads(self.q(x))
         kv = x
         if self.kv_reduce == "conv":
-            kv = self.sr_norm(self._tokens(self.sr_conv(self._maps(x, h, w))))
+            kv = self.sr_norm(_tokens(self.sr_conv(_maps(x, h, w))))
         k, v = self.k(kv), self.v(kv)
         if self.kv_reduce == "pool":
             k, v = self._pool(k, h, w), self._pool(v, h, w)
@@ -612,7 +632,7 @@ class Attention(Module):
 
     def forward(self, x):
         h, w = x.shape[2:]
-        return self._maps(self.forward_tokens(self._tokens(x), (h, w)), h, w)
+        return _maps(self.forward_tokens(_tokens(x), (h, w)), h, w)
 
 
 class TransformerBlock(Module):
@@ -621,10 +641,10 @@ class TransformerBlock(Module):
     def __init__(self, dim, expansion, heads, sr_ratio=1, kv_reduce="pool",
                  attn_norm="ln", ffn_norm="bn", use_cffn=True):
         super().__init__()
-        self.attn_norm = self.add_child("attn_norm", make_norm2d(attn_norm, dim))
-        self.attn = self.add_child("attn", Attention(dim, heads, sr_ratio, kv_reduce))
+        self.attn_norm = make_norm2d(attn_norm, dim)
+        self.attn = Attention(dim, heads, sr_ratio, kv_reduce)
         ffn_cls = ConvFFNBlock if use_cffn else FFNBlock
-        self.ffn = self.add_child("ffn", ffn_cls(dim, expansion, norm=ffn_norm))
+        self.ffn = ffn_cls(dim, expansion, norm=ffn_norm)
 
     def forward(self, x):
         return self.ffn(ops.add(x, self.attn(self.attn_norm(x))))
@@ -641,11 +661,11 @@ class ClassifierHead(Module):
         super().__init__()
         self.hidden = hidden
         if hidden:
-            self.pre = self.add_child("pre", Linear(cin, hidden))
-            self.act = self.add_child("act", GELU())
-            self.fc = self.add_child("fc", Linear(hidden, num_classes))
+            self.pre = Linear(cin, hidden)
+            self.act = GELU()
+            self.fc = Linear(hidden, num_classes)
         else:
-            self.fc = self.add_child("fc", Linear(cin, num_classes))
+            self.fc = Linear(cin, num_classes)
 
     def forward(self, x):
         pooled = ops.global_avg_pool(x)
@@ -655,13 +675,11 @@ class ClassifierHead(Module):
 
     def forward_dense(self, x):
         """Per-position logits (no pooling): classifier applied to each cell."""
-        b, c, h, w = x.shape
-        tokens = ops.transpose(ops.reshape(x, (b, c, h * w)), (0, 2, 1))
-        y = tokens
+        h, w = x.shape[2:]
+        y = _tokens(x)
         if self.hidden:
             y = self.act(self.pre(y))
-        y = self.fc(y)
-        return ops.reshape(ops.transpose(y, (0, 2, 1)), (b, -1, h, w))
+        return _maps(self.fc(y), h, w)
 
 
 class ViTStem(Module):
@@ -669,8 +687,8 @@ class ViTStem(Module):
 
     def __init__(self, cin, cout):
         super().__init__()
-        self.proj = self.add_child("proj", Conv2d(cin, cout, 7, stride=4, padding=3))
-        self.norm = self.add_child("norm", LayerNorm2d(cout))
+        self.proj = Conv2d(cin, cout, 7, stride=4, padding=3)
+        self.norm = LayerNorm2d(cout)
 
     def forward(self, x):
         return self.norm(self.proj(x))
@@ -682,17 +700,17 @@ class ConvStem(Module):
     def __init__(self, cin, cout):
         super().__init__()
         mid = cout // 2
-        self.conv1 = self.add_child("conv1", Conv2d(cin, mid, 3, stride=2, bias=False))
-        self.norm1 = self.add_child("norm1", BatchNorm2d(mid))
-        self.act1 = self.add_child("act1", GELU())
-        self.conv2 = self.add_child("conv2", Conv2d(mid, mid, 3, bias=False))
-        self.norm2 = self.add_child("norm2", BatchNorm2d(mid))
-        self.act2 = self.add_child("act2", GELU())
-        self.conv3 = self.add_child("conv3", Conv2d(mid, cout, 3, stride=2, bias=False))
-        self.norm3 = self.add_child("norm3", BatchNorm2d(cout))
-        self.act3 = self.add_child("act3", GELU())
-        self.conv4 = self.add_child("conv4", Conv2d(cout, cout, 1, bias=False))
-        self.norm4 = self.add_child("norm4", BatchNorm2d(cout))
+        self.conv1 = Conv2d(cin, mid, 3, stride=2, bias=False)
+        self.norm1 = BatchNorm2d(mid)
+        self.act1 = GELU()
+        self.conv2 = Conv2d(mid, mid, 3, bias=False)
+        self.norm2 = BatchNorm2d(mid)
+        self.act2 = GELU()
+        self.conv3 = Conv2d(mid, cout, 3, stride=2, bias=False)
+        self.norm3 = BatchNorm2d(cout)
+        self.act3 = GELU()
+        self.conv4 = Conv2d(cout, cout, 1, bias=False)
+        self.norm4 = BatchNorm2d(cout)
 
     def forward(self, x):
         y = self.act1(self.norm1(self.conv1(x)))

@@ -228,10 +228,10 @@ def parse_config(text: str) -> ModelConfig:
             if head == "model":
                 section = ("model", None)
             elif head.startswith("stage"):
-                try:
-                    idx = int(head.split()[1])
-                except (IndexError, ValueError):
+                words = head.split()       # exactly "stage" and an integer
+                if len(words) != 2 or words[0] != "stage" or not words[1].isdecimal():
                     raise ConfigError(f"line {lineno}: bad stage header {raw!r}")
+                idx = int(words[1])
                 stages[idx] = {}
                 section = ("stage", idx)
             else:

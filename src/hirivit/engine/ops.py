@@ -34,8 +34,9 @@ Conventions
   (``matmul``) is a plain BLAS call and carries no such guarantee.
 * Forward kernels for conv2d and matmul dispatch through a swappable
   backend: the vectorized ``FastBackend``, the MAC-counting loops of
-  ``reference.CountingBackend`` or the analyzer's ``ShapeBackend``, which
-  runs the fast kernels and notes each contraction's length. ``linear`` is
+  ``reference.CountingBackend`` or the analyzer's trace pass
+  (``blocks._CostPass``), which runs the fast kernels and notes each
+  contraction's length. ``linear`` is
   the backend's ``matmul`` plus a bias, and ``ordered_matmul`` sorts its
   keys and sends the per-row product through the backend's ``matmul``.
 """
@@ -79,24 +80,6 @@ class FastBackend:
 
     def conv2d(self, x, w, bias, stride, padding, groups):
         return _conv2d_fast(x, w, bias, stride, padding, groups)
-
-
-class ShapeBackend(FastBackend):
-    """The fast kernels, noting the contraction length of the last call in ``k``.
-
-    Each output element of that call costs ``k`` MACs. The analyzer runs on
-    an empty batch, where the kernels do no arithmetic.
-    """
-
-    k = 0
-
-    def matmul(self, a, b):
-        self.k = a.shape[-1]
-        return super().matmul(a, b)
-
-    def conv2d(self, x, w, bias, stride, padding, groups):
-        self.k = w[0].size
-        return super().conv2d(x, w, bias, stride, padding, groups)
 
 
 _backend = FastBackend()

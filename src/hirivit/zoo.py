@@ -32,36 +32,32 @@ _STEM_CLS = {"hr": HighResStem, "conv": ConvStem, "vit": ViTStem}
 _DOWN_CLS = {"irds_a": DownsampleA, "irds_b": DownsampleB, "conv": PlainDownsample}
 
 
+def _make_block(spec: StageSpec) -> Module:
+    if spec.kind == "hr":
+        return HighResBlock(spec.channels, spec.expansion)
+    if spec.kind == "ffn":
+        return FFNBlock(spec.channels, spec.expansion, norm=spec.norm)
+    if spec.kind == "cffn":
+        return ConvFFNBlock(spec.channels, spec.expansion, norm=spec.norm)
+    if spec.kind == "transformer":
+        return TransformerBlock(spec.channels, spec.expansion, spec.heads, spec.sr_ratio,
+                                kv_reduce=spec.kv_reduce, attn_norm=spec.attn_norm,
+                                ffn_norm=spec.norm, use_cffn=spec.use_cffn)
+    raise ConfigError(f"unknown stage kind {spec.kind!r}")
+
+
 class Stage(Module):
-    def __init__(self, blocks):
+    """``spec.depth`` blocks ``block1``, ``block2``, ..., run in order."""
+
+    def __init__(self, spec: StageSpec):
         super().__init__()
-        self.blocks = []
-        for i, b in enumerate(blocks, 1):
-            self.blocks.append(self.add_child(f"block{i}", b))
+        for i in range(1, spec.depth + 1):
+            setattr(self, f"block{i}", _make_block(spec))
 
     def forward(self, x):
-        for b in self.blocks:
+        for b in self._children.values():
             x = b(x)
         return x
-
-
-def _make_blocks(spec: StageSpec):
-    blocks = []
-    for _ in range(spec.depth):
-        if spec.kind == "hr":
-            blocks.append(HighResBlock(spec.channels, spec.expansion))
-        elif spec.kind == "ffn":
-            blocks.append(FFNBlock(spec.channels, spec.expansion, norm=spec.norm))
-        elif spec.kind == "cffn":
-            blocks.append(ConvFFNBlock(spec.channels, spec.expansion, norm=spec.norm))
-        elif spec.kind == "transformer":
-            blocks.append(TransformerBlock(
-                spec.channels, spec.expansion, spec.heads, spec.sr_ratio,
-                kv_reduce=spec.kv_reduce, attn_norm=spec.attn_norm,
-                ffn_norm=spec.norm, use_cffn=spec.use_cffn))
-        else:
-            raise ConfigError(f"unknown stage kind {spec.kind!r}")
-    return blocks
 
 
 class Model(Module):
@@ -73,31 +69,30 @@ class Model(Module):
         self.config = config
         grids = config.stage_grids()
         c_first = config.stages[0].channels
-        self.stem = self.add_child("stem", _STEM_CLS[config.stem](3, c_first))
-        self.stages = []
-        self.downsamplers = []
+        self.stem = _STEM_CLS[config.stem](3, c_first)
         for i, spec in enumerate(config.stages):
             if i > 0:
-                prev = config.stages[i - 1]
-                ds = _DOWN_CLS[config.downsamplers[i - 1]](
-                    prev.channels, spec.channels,
-                    in_grid=grids[i - 1], out_grid=grids[i])
-                self.downsamplers.append(self.add_child(f"ds{i}", ds))
-            self.stages.append(self.add_child(f"stage{i + 1}", Stage(_make_blocks(spec))))
-        self.head = self.add_child("head", ClassifierHead(
+                setattr(self, f"ds{i}", _DOWN_CLS[config.downsamplers[i - 1]](
+                    config.stages[i - 1].channels, spec.channels,
+                    in_grid=grids[i - 1], out_grid=grids[i]))
+            setattr(self, f"stage{i + 1}", Stage(spec))
+        self.head = ClassifierHead(
             config.stages[-1].channels, config.num_classes,
-            hidden=config.head_hidden))
+            hidden=config.head_hidden)
+
+    @property
+    def stages(self) -> list[Stage]:
+        return [m for m in self._children.values() if isinstance(m, Stage)]
 
     # -- execution -------------------------------------------------------
 
     def forward_features(self, x: Tensor) -> Tensor:
+        """Stem, then each downsampler and stage in order: every child but the head."""
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"expected N x 3 x H x W input, got {x.shape}")
-        x = self.stem(x)
-        for i, stage in enumerate(self.stages):
-            if i > 0:
-                x = self.downsamplers[i - 1](x)
-            x = stage(x)
+        for child in self._children.values():
+            if child is not self.head:
+                x = child(x)
         return x
 
     def forward(self, x: Tensor) -> Tensor:

@@ -76,6 +76,15 @@ def test_malformed_value_names_its_line():
         parse_config(text)
 
 
+@pytest.mark.parametrize("header", ["[stagefoo 2]", "[stages 2]", "[stage 2 junk]",
+                                    "[stage 2 3]"])
+def test_malformed_stage_header_names_its_line(header):
+    text = _replace(MICRO, "[stage 2]", header)
+    line = text.splitlines().index(header) + 1
+    with pytest.raises(ConfigError, match=rf"line {line}: bad stage header"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("res", ["0", "-32"])
 def test_analyze_non_positive_resolution_exits_2(res, capsys):
     assert main(["analyze", "--variant", "S", "--res", res]) == 2
