@@ -127,7 +127,9 @@ class Module:
     a ``Tensor`` with ``requires_grad`` is a parameter (see :func:`param`),
     any other ``Tensor`` a buffer and a ``Module`` a child, named by the
     attribute in checkpoint paths. A value a module caches must be an array,
-    not a ``Tensor``, or it becomes a buffer and so a checkpoint entry.
+    not a ``Tensor``, or it becomes a buffer and so a checkpoint entry. The
+    module gives each entry its starting value; ``params.init_tree`` then
+    draws only the ``weight`` entries.
     """
 
     def __init__(self):
@@ -166,12 +168,9 @@ class Module:
 
     def param_tree(self) -> ParamTree:
         tree = ParamTree()
-        for path, tensor, trainable in self.named_entries():
-            tree.add(path, tensor, trainable)
+        for path, tensor, _ in self.named_entries():
+            tree.add(path, tensor)
         return tree
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p, trainable in self.named_entries() if trainable)
 
     def own_param_count(self) -> int:
         return sum(p.size for p in self._params.values())
@@ -283,7 +282,7 @@ class BatchNorm2d(Module):
 
     def __init__(self, channels):
         super().__init__()
-        self.gamma = param((channels,))
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = param((channels,))
         self.running_mean = Tensor(np.zeros(channels))
         self.running_var = Tensor(np.ones(channels))
@@ -299,7 +298,7 @@ class LayerNorm(Module):
 
     def __init__(self, dim):
         super().__init__()
-        self.gamma = param((dim,))
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = param((dim,))
 
     def forward(self, x):

@@ -145,9 +145,12 @@ def cmd_train(args) -> int:
     from .train import METRICS_HEADER, SyntheticQuadrants, TrainConfig, train_loop
 
     cfg = _load_config(args, default=hiri_micro_config())
+    height, width = cfg.resolution
+    if height != width:     # the synthetic images are square
+        raise ConfigError(f"training needs a square resolution, got {height}x{width}")
     model, _ = build_model(cfg, seed=args.seed)
     teacher, _ = build_model(cfg, seed=args.seed)
-    dataset = SyntheticQuadrants(image_size=cfg.resolution[0],
+    dataset = SyntheticQuadrants(image_size=height,
                                  num_classes=cfg.num_classes, seed=args.seed)
     tc = TrainConfig(steps=args.steps, alpha=args.alpha,
                      ema_decay=args.ema_decay, seed=args.seed)

@@ -1,5 +1,10 @@
 """Named parameter trees, deterministic init, and binary checkpoints.
 
+An entry is a parameter when its tensor requires grad, and a buffer (a BN
+running statistic) otherwise; its module gives it its starting value, and
+``init_tree`` draws only the ``weight`` entries. The format stores no flag,
+so ``load_checkpoint`` takes it from the running-statistic names.
+
 Checkpoint layout (version 1, little-endian):
     magic  b"HIRI"
     u32    format version
@@ -37,18 +42,16 @@ class ParamTree:
     """Ordered path -> Tensor map; the unit of serialization and averaging.
 
     Holds both trainable parameters and persistent buffers (running BN
-    statistics); ``trainable`` marks which entries carry gradients.
+    statistics); an entry is trainable when its tensor requires grad.
     """
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, path: str, tensor: Tensor, trainable: bool):
+    def add(self, path: str, tensor: Tensor):
         if path in self._entries:
             raise ConfigError(f"duplicate parameter path {path!r}")
         self._entries[path] = tensor
-        self._trainable[path] = trainable
 
     def __len__(self):
         return len(self._entries)
@@ -66,7 +69,7 @@ class ParamTree:
         return self._entries.items()
 
     def trainable_items(self):
-        return [(p, t) for p, t in self._entries.items() if self._trainable[p]]
+        return [(p, t) for p, t in self._entries.items() if t.requires_grad]
 
     def total_params(self) -> int:
         """Learnable parameter count (running statistics excluded)."""
@@ -75,8 +78,7 @@ class ParamTree:
     def clone(self) -> "ParamTree":
         out = ParamTree()
         for path, t in self._entries.items():
-            c = Tensor(t.data.copy())
-            out.add(path, c, self._trainable[path])
+            out.add(path, Tensor(t.data.copy(), t.requires_grad))
         return out
 
     def copy_into(self, other: "ParamTree"):
@@ -92,12 +94,9 @@ class ParamTree:
         for path, t in self.items():
             np.copyto(other[path].data, t.data)
 
-    def allclose(self, other: "ParamTree", atol=0.0) -> bool:
-        if other.paths() != self.paths():
-            return False
-        if atol == 0.0:
-            return all(np.array_equal(t.data, other[p].data) for p, t in self.items())
-        return all(np.allclose(t.data, other[p].data, atol=atol) for p, t in self.items())
+    def allclose(self, other: "ParamTree") -> bool:
+        return other.paths() == self.paths() and all(
+            np.array_equal(t.data, other[p].data) for p, t in self.items())
 
 
 def truncated_normal(rng: np.random.Generator, shape, std=0.02):
@@ -113,16 +112,13 @@ def truncated_normal(rng: np.random.Generator, shape, std=0.02):
 
 
 def init_tree(tree: ParamTree, seed: int):
-    """Deterministic init: truncated normal for weights, affine identities."""
+    """Deterministic init: a truncated normal draw for each ``weight`` entry,
+    in tree order. Every other entry keeps the starting value its module
+    gave it (zero, or one for norm scales and running variances)."""
     rng = np.random.default_rng(seed)
     for path, t in tree.items():
-        leaf = path.rsplit(".", 1)[-1]
-        if leaf == "weight":
+        if path.rsplit(".", 1)[-1] == "weight":
             t.data[...] = truncated_normal(rng, t.shape)
-        elif leaf in ("gamma", "running_var"):
-            t.data[...] = 1.0
-        else:   # bias, beta, running_mean
-            t.data[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +195,8 @@ def load_checkpoint(path: str) -> ParamTree:
         except (ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"{path}: shape of {name!r} at byte {shape_at} is unusable: {exc}") from exc
-        tree.add(name, Tensor(data),
-                 trainable=not name.endswith(("running_mean", "running_var")))
+        buffer = name.endswith(("running_mean", "running_var"))
+        tree.add(name, Tensor(data, requires_grad=not buffer))
     (stored,) = struct.unpack("<I", buf[end:])
     if stored != (crc & 0xFFFFFFFF):
         raise ConfigError(f"{path}: payload CRC mismatch")

@@ -1,4 +1,4 @@
-from .data import SyntheticQuadrants, load_dataset, save_dataset
+from .data import SyntheticQuadrants
 from .distill import (DistillTarget, distill_target, majority_downsample,
                       soft_cross_entropy, teacher_prob_map)
 from .ema import EmaState, ema_init, ema_update
@@ -7,7 +7,7 @@ from .optim import AdamW, cosine_schedule
 from .loop import METRICS_HEADER, StepRecord, TrainConfig, TrainingDiverged, train_loop
 
 __all__ = [
-    "SyntheticQuadrants", "save_dataset", "load_dataset",
+    "SyntheticQuadrants",
     "MixedSample", "cutmix", "mixup",
     "DistillTarget", "distill_target", "majority_downsample",
     "soft_cross_entropy", "teacher_prob_map",

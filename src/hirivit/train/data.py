@@ -1,20 +1,14 @@
-"""Training data: a seeded synthetic generator and a tensor-record directory.
+"""Training data: a seeded synthetic generator.
 
 The synthetic task is deliberately separable: each class lights up a
 different quadrant in a different color channel on top of Gaussian noise.
-On-disk datasets reuse the checkpoint record format, one file per sample
-with records ``image`` (C x H x W) and ``label`` (one-hot vector).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..engine import Tensor
 from ..errors import ConfigError
-from ..params import ParamTree, load_checkpoint, save_checkpoint
 
 
 class SyntheticQuadrants:
@@ -47,26 +41,3 @@ class SyntheticQuadrants:
         out = np.zeros((len(labels), self.num_classes))
         out[np.arange(len(labels)), labels] = 1.0
         return out
-
-
-def save_dataset(directory: str, images: np.ndarray, labels_onehot: np.ndarray):
-    """Write one record file per sample using the checkpoint tensor format."""
-    os.makedirs(directory, exist_ok=True)
-    for i, (img, lab) in enumerate(zip(images, labels_onehot)):
-        tree = ParamTree()
-        tree.add("image", Tensor(np.asarray(img, dtype=np.float64)), True)
-        tree.add("label", Tensor(np.asarray(lab, dtype=np.float64)), True)
-        save_checkpoint(tree, os.path.join(directory, f"sample_{i:06d}.hiri"))
-
-
-def load_dataset(directory: str):
-    """Read a record directory back into (images, one-hot labels)."""
-    names = sorted(f for f in os.listdir(directory) if f.endswith(".hiri"))
-    if not names:
-        raise ConfigError(f"dataset directory {directory!r} has no .hiri records")
-    images, labels = [], []
-    for name in names:
-        tree = load_checkpoint(os.path.join(directory, name))
-        images.append(tree["image"].data)
-        labels.append(tree["label"].data)
-    return np.stack(images), np.stack(labels)

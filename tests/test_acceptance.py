@@ -180,7 +180,7 @@ def test_criterion_6_gradient_suite():
         block = make()
         tree = ParamTree()
         for path, tensor, trainable in block.named_entries():
-            tree.add(path, tensor, trainable)
+            tree.add(path, tensor)
         init_tree(tree, 42)
         rng = np.random.default_rng(43)
         for path, tn in tree.items():
@@ -283,8 +283,8 @@ def test_criterion_8_distillation_algebra():
     t_a = ParamTree()
     t_b = ParamTree()
     for name in ("w", "bn.running_mean"):
-        t_a.add(name, Tensor(rng.standard_normal(8)), True)
-        t_b.add(name, Tensor(rng.standard_normal(8)), True)
+        t_a.add(name, Tensor(rng.standard_normal(8)))
+        t_b.add(name, Tensor(rng.standard_normal(8)))
     d, k = 0.97, 53
     state = ema_init(t_a, decay=d)
     start = {p: t.data.copy() for p, t in state.tree.items()}

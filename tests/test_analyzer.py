@@ -15,7 +15,7 @@ from hirivit.zoo import Model, build_model, hiri_config, hiri_micro_config
 class TestParamCounting:
     def test_conv_param_arithmetic(self):
         conv = Conv2d(32, 64, 3)
-        assert conv.param_count() == 32 * 64 * 9 + 64   # 18,496
+        assert conv.param_tree().total_params() == 32 * 64 * 9 + 64   # 18,496
 
     def test_count_params_matches_tree(self):
         model, tree = build_model(hiri_micro_config(), seed=0)

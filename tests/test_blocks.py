@@ -14,7 +14,7 @@ from hirivit.params import ParamTree, init_tree
 def block_tree(block) -> ParamTree:
     tree = ParamTree()
     for path, tensor, trainable in block.named_entries():
-        tree.add(path, tensor, trainable)
+        tree.add(path, tensor)
     return tree
 
 

@@ -39,9 +39,20 @@ class TestCheckpoint:
         other.load_state(load_checkpoint(path))
         assert other_tree.allclose(tree)
 
+    def test_loaded_and_cloned_trees_keep_each_entrys_role(self, tmp_path):
+        _, tree = build_model(hiri_micro_config(), seed=0)
+        path = str(tmp_path / "model.hiri")
+        save_checkpoint(tree, path)
+        trainable = [p for p, _ in tree.trainable_items()]
+        assert 0 < len(trainable) < len(tree)
+        for other in (load_checkpoint(path), tree.clone()):
+            assert [p for p, _ in other.trainable_items()] == trainable
+            for p, t in tree.items():
+                assert other[p].requires_grad == t.requires_grad, p
+
     def test_magic_and_version(self, tmp_path):
         tree = ParamTree()
-        tree.add("w", Tensor(np.arange(6.0).reshape(2, 3)), True)
+        tree.add("w", Tensor(np.arange(6.0).reshape(2, 3)))
         path = str(tmp_path / "t.hiri")
         save_checkpoint(tree, path)
         blob = open(path, "rb").read()
@@ -50,8 +61,8 @@ class TestCheckpoint:
 
     def test_scalar_and_empty_names(self, tmp_path):
         tree = ParamTree()
-        tree.add("a.b.c", Tensor(np.array(3.5)), True)
-        tree.add("vec", Tensor(np.array([1.0, 2.0])), False)
+        tree.add("a.b.c", Tensor(np.array(3.5)))
+        tree.add("vec", Tensor(np.array([1.0, 2.0])))
         path = str(tmp_path / "s.hiri")
         save_checkpoint(tree, path)
         loaded = load_checkpoint(path)
@@ -60,7 +71,7 @@ class TestCheckpoint:
 
     def test_crc_detects_corruption(self, tmp_path):
         tree = ParamTree()
-        tree.add("w", Tensor(np.ones((4, 4))), True)
+        tree.add("w", Tensor(np.ones((4, 4))))
         path = str(tmp_path / "c.hiri")
         save_checkpoint(tree, path)
         blob = bytearray(open(path, "rb").read())
@@ -71,10 +82,10 @@ class TestCheckpoint:
 
     def test_copy_into_names_the_first_differing_shape_and_copies_nothing(self):
         src, dst = ParamTree(), ParamTree()
-        src.add("a", Tensor(np.ones(3)), True)
-        src.add("b", Tensor(np.ones((2, 3))), True)
-        dst.add("a", Tensor(np.zeros(3)), True)
-        dst.add("b", Tensor(np.zeros((3, 2))), True)
+        src.add("a", Tensor(np.ones(3)))
+        src.add("b", Tensor(np.ones((2, 3))))
+        dst.add("a", Tensor(np.zeros(3)))
+        dst.add("b", Tensor(np.zeros((3, 2))))
         with pytest.raises(ConfigError, match=re.escape("shape mismatch at b: (3, 2) vs (2, 3)")):
             src.copy_into(dst)
         assert not dst["a"].data.any()

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -158,6 +159,18 @@ def test_train_out_below_a_file_exits_2(tmp_path, capsys):
     blocker.write_text("")
     out_dir = str(blocker / "run")
     _assert_usage_error(["train", "--steps", "1", "--out", out_dir], capsys, out_dir)
+
+
+def test_train_non_square_resolution_exits_2(tmp_path, capsys):
+    """The synthetic images are square: a 64x128 config is refused before
+    any model is built or output written, not trained at 64x64."""
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(serialize_config(
+        dataclasses.replace(hiri_micro_config(), resolution=(64, 128))))
+    out_dir = tmp_path / "run"
+    _assert_usage_error(["train", "--config", str(cfg_path), "--steps", "1",
+                         "--out", str(out_dir)], capsys, "64x128")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv", [

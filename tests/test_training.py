@@ -10,9 +10,9 @@ from hirivit.errors import ConfigError
 from hirivit.params import ParamTree
 from hirivit.train import (AdamW, SyntheticQuadrants, TrainConfig,
                            TrainingDiverged, cosine_schedule, cutmix,
-                           distill_target, ema_init, ema_update, load_dataset,
-                           majority_downsample, mixup, save_dataset,
-                           soft_cross_entropy, train_loop)
+                           distill_target, ema_init, ema_update,
+                           majority_downsample, mixup, soft_cross_entropy,
+                           train_loop)
 from hirivit.zoo import build_model, hiri_micro_config
 
 
@@ -290,8 +290,8 @@ class TestEma:
         t2 = ParamTree()
         rng = np.random.default_rng(1)
         for name in ("a", "b.w", "b.running_mean"):
-            t1.add(name, Tensor(rng.standard_normal(4)), True)
-            t2.add(name, Tensor(rng.standard_normal(4)), True)
+            t1.add(name, Tensor(rng.standard_normal(4)))
+            t2.add(name, Tensor(rng.standard_normal(4)))
         return t1, t2
 
     def test_decay_zero_copies_student(self):
@@ -333,7 +333,7 @@ class TestEma:
         teacher_src, student = self._trees()
         state = ema_init(teacher_src, decay=0.5)
         other = ParamTree()
-        other.add("different", Tensor(np.zeros(4)), True)
+        other.add("different", Tensor(np.zeros(4)))
         with pytest.raises(ConfigError):
             ema_update(state, other)
 
@@ -346,7 +346,7 @@ class TestEma:
 class TestAdamW:
     def _single(self, value=2.0):
         tree = ParamTree()
-        tree.add("w", Tensor(np.array([value]), requires_grad=True), True)
+        tree.add("w", Tensor(np.array([value]), requires_grad=True))
         return tree
 
     def test_zero_grad_zero_decay_is_noop(self):
@@ -487,19 +487,6 @@ class TestSyntheticData:
         c0 = imgs[labs == 0, 0, :16, :16].mean()
         c1 = imgs[labs == 1, 2, 16:, 16:].mean()
         assert c0 > 0.5 and c1 > 0.5
-
-    def test_dataset_directory_roundtrip(self, tmp_path):
-        data = SyntheticQuadrants(image_size=16, seed=2)
-        imgs, labs = data.sample(5)
-        onehot = data.one_hot(labs)
-        save_dataset(str(tmp_path), imgs, onehot)
-        loaded_imgs, loaded_labels = load_dataset(str(tmp_path))
-        assert (loaded_imgs == imgs).all()
-        assert (loaded_labels == onehot).all()
-
-    def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_dataset(str(tmp_path))
 
 
 def test_metrics_header_matches_rows():

@@ -52,6 +52,19 @@ class TestBuildDeterminism:
         _, t2 = build_model(hiri_micro_config(), seed=6)
         assert not t1.allclose(t2)
 
+    def test_modules_give_every_non_weight_entry_its_starting_value(self):
+        """Without ``init_tree``, norm scales and running variances are 1 and
+        every other entry but the weights is 0."""
+        leaves = set()
+        for path, t in Model(hiri_micro_config()).param_tree().items():
+            leaf = path.rsplit(".", 1)[-1]
+            leaves.add(leaf)
+            if leaf != "weight":
+                expected = 1.0 if leaf in ("gamma", "running_var") else 0.0
+                assert (t.data == expected).all(), path
+        assert leaves == {"weight", "bias", "gamma", "beta",
+                          "running_mean", "running_var"}
+
     def test_truncated_normal_init_statistics(self):
         model, tree = build_model(hiri_micro_config(), seed=0)
         w = tree["stage4.block1.attn.q.weight"].data
