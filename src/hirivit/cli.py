@@ -1,6 +1,7 @@
 """Command-line harness: analyze, gradcheck, train, verify-tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure or diverged training, 2 usage
+or config error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .params import save_checkpoint
 from .zoo import Model, build_model, hiri_config, hiri_micro_config
 
 EXIT_OK = 0
-EXIT_VERIFY_FAIL = 1
+EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
@@ -134,7 +135,7 @@ def cmd_gradcheck(args) -> int:
         ok &= report.passed
         worst_overall = max(worst_overall, report.max_rel_err)
     print(f"worst offender overall: {worst_overall:.3e} (tol {args.tol:g})")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,8 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    from .train import METRICS_HEADER, SyntheticQuadrants, TrainConfig, train_loop
+    from .train import (METRICS_HEADER, SyntheticQuadrants, TrainConfig,
+                        TrainingDiverged, train_loop)
 
     cfg = _load_config(args, default=hiri_micro_config())
     height, width = cfg.resolution
@@ -158,9 +160,13 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.csv")
     with open(metrics_path, "w") as stream:
         stream.write(METRICS_HEADER)
-        records, tree, ema = train_loop(model, dataset, tc,
-                                        teacher_model=teacher,
-                                        metrics_stream=stream)
+        try:
+            records, tree, ema = train_loop(model, dataset, tc,
+                                            teacher_model=teacher,
+                                            metrics_stream=stream)
+        except TrainingDiverged as exc:     # the rows written so far stay
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
     save_checkpoint(tree, os.path.join(args.out, "student.hiri"))
     save_checkpoint(ema.tree, os.path.join(args.out, "teacher.hiri"))
     final = records[-1]
@@ -186,7 +192,7 @@ def cmd_verify_tables(args) -> int:
         all_ok &= c.passed
     print("all reference checks passed" if all_ok
           else "reference checks FAILED")
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if all_ok else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------

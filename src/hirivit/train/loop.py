@@ -6,9 +6,11 @@ batch, soft cross-entropy, backward, AdamW with the cosine schedule, then
 the EMA teacher update. Emits one metrics CSV row per step
 (``StepRecord.csv_row``; the header is ``METRICS_HEADER``).
 
-The reported train accuracy comes from an extra no-grad forward over the
-unmixed images (train-mode statistics); that pass also refreshes the
-student's BN running estimates.
+``train_acc`` is the train-mode accuracy on the step's clean batch at the
+weights the step starts from. An unmixed step reads it off its own
+training forward, whose input is that batch. A mixed step runs one no-grad
+train-mode pass over the clean images before the update (``_accuracy``),
+and puts back the BN running statistics that pass moves.
 """
 
 from __future__ import annotations
@@ -58,18 +60,31 @@ METRICS_HEADER = ",".join(f.name for f in fields(StepRecord)) + "\n"
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step, loss, batch_index):
+    """``batch_index`` is the 0-based index of the offending batch."""
+
+    def __init__(self, step, loss, batch_index, batch_size):
+        first = batch_index * batch_size
         super().__init__(
-            f"non-finite loss {loss!r} at step {step} (batch index {batch_index});"
-            " dumping offending batch stats to stderr")
+            f"non-finite loss {loss!r} at step {step} (batch index {batch_index},"
+            f" samples [{first}, {first + batch_size}));"
+            " its stats were printed to stderr")
         self.step = step
         self.batch_index = batch_index
 
 
-def _accuracy(model, images: np.ndarray, labels: np.ndarray) -> float:
+def _hits(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float((np.argmax(logits, axis=1) == labels).mean())
+
+
+def _accuracy(model, images: np.ndarray, labels: np.ndarray, buffers) -> float:
+    """Train-mode accuracy of a no-grad pass; ``buffers`` (the model's
+    non-trainable arrays) come back bitwise as they were."""
+    saved = [b.copy() for b in buffers]
     with no_grad():
         logits = model(Tensor(images))
-    return float((np.argmax(logits.data, axis=1) == labels).mean())
+    for b, s in zip(buffers, saved):
+        np.copyto(b, s)
+    return _hits(logits.data, labels)
 
 
 def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
@@ -84,6 +99,8 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
         raise ConfigError(f"unknown mix kind {config.mix!r}")
     if not 0.0 <= config.alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {config.alpha}")
+    if not 0.0 <= config.mix_prob <= 1.0:
+        raise ConfigError(f"mix_prob must lie in [0, 1], got {config.mix_prob}")
     if config.steps < 1 or config.batch_size < 1:
         raise ConfigError("steps and batch_size must be positive")
     if config.alpha < 1.0 and teacher_model is None:
@@ -92,6 +109,7 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
     warmup = min(WARMUP_STEPS, config.steps - 1)
     rng = np.random.default_rng(config.seed)
     tree = model.param_tree()
+    buffers = [t.data for _, t in tree.items() if not t.requires_grad]
     opt = AdamW(tree, lr=BASE_LR)
     if teacher_model is None:
         ema = ema_init(tree, config.ema_decay)
@@ -128,13 +146,16 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
         if not np.isfinite(loss_val):
             print(f"batch stats: min {x_in.min():.4g} max {x_in.max():.4g} "
                   f"labels {labels.tolist()}", file=sys.stderr)
-            raise TrainingDiverged(step, loss_val, step * config.batch_size)
+            raise TrainingDiverged(step, loss_val, step - 1, config.batch_size)
+        if use_mix:
+            acc = _accuracy(model, images, labels, buffers)
+        else:
+            acc = _hits(logits.data, labels)
         backward(loss)
         lr = cosine_schedule(step - 1, config.steps, warmup, BASE_LR)
         opt.step(lr)
         ema_update(ema, tree)
 
-        acc = _accuracy(model, images, labels)
         rec = StepRecord(step=step, loss=loss_val, lr=lr, train_acc=acc)
         records.append(rec)
         if metrics_stream is not None:

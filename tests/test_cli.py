@@ -186,3 +186,25 @@ def test_negative_value_is_a_usage_error_naming_the_flag(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[1]}: must be >= 0, got {argv[2]}" in capsys.readouterr().err
+
+
+def test_train_diverged_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
+    """A non-finite loss ends the run with an ``error:`` line and exit 1; the
+    metrics header stays and no checkpoint is written."""
+    from hirivit.train import SyntheticQuadrants
+
+    sample = SyntheticQuadrants.sample
+
+    def nan_images(self, n):
+        images, labels = sample(self, n)
+        return np.full_like(images, np.nan), labels
+
+    monkeypatch.setattr(SyntheticQuadrants, "sample", nan_images)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--steps", "2", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("batch stats: min nan max nan"), err
+    assert err[1].startswith("error: non-finite loss nan at step 1 (batch index 0"), err
+    assert len(err) == 2
+    assert (out_dir / "metrics.csv").read_text() == "step,loss,lr,train_acc\n"
+    assert sorted(os.listdir(out_dir)) == ["metrics.csv"]

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from hirivit.engine import Tensor, backward, grad_check, ops
+from hirivit.engine import Tensor, backward, grad_check, no_grad, ops
 from hirivit.errors import ConfigError
 from hirivit.params import ParamTree
 from hirivit.train import (AdamW, SyntheticQuadrants, TrainConfig,
@@ -13,6 +13,7 @@ from hirivit.train import (AdamW, SyntheticQuadrants, TrainConfig,
                            distill_target, ema_init, ema_update,
                            majority_downsample, mixup, soft_cross_entropy,
                            train_loop)
+from hirivit.train import loop
 from hirivit.zoo import build_model, hiri_micro_config
 
 
@@ -468,10 +469,115 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged):
             train_loop(model, PoisonData(), tc, teacher_model=teacher)
 
+    def test_divergence_names_the_offending_batch(self):
+        model, teacher, data = self._setup(5)
+        calls = []
+
+        class PoisonSecondBatch:
+            def sample(self, n):
+                imgs, labs = data.sample(n)
+                calls.append(n)
+                if len(calls) == 2:
+                    imgs[0, 0, 0, 0] = np.nan
+                return imgs, labs
+
+            def one_hot(self, labels):
+                return data.one_hot(labels)
+
+        tc = TrainConfig(steps=3, batch_size=4, seed=5)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_loop(model, PoisonSecondBatch(), tc, teacher_model=teacher)
+        assert exc.value.step == 2 and exc.value.batch_index == 1
+        assert "batch index 1, samples [4, 8)" in str(exc.value)
+
     def test_alpha_below_one_requires_teacher(self):
         model, _, data = self._setup(6)
         with pytest.raises(ConfigError):
             train_loop(model, data, TrainConfig(alpha=0.5), teacher_model=None)
+
+    @pytest.mark.parametrize("mix_prob", [1.5, -0.1, float("nan")])
+    def test_mix_prob_outside_unit_interval_is_refused(self, mix_prob):
+        model, teacher, data = self._setup(6)
+        with pytest.raises(ConfigError, match="mix_prob"):
+            train_loop(model, data, TrainConfig(steps=1, mix_prob=mix_prob),
+                       teacher_model=teacher)
+
+
+# -- train_acc: the train-mode accuracy on the clean batch at the step's
+#    starting weights, with no side effect on the BN running statistics ------
+
+def _running_stats(tree):
+    return {p: t.data.copy() for p, t in tree.items()
+            if p.rsplit(".", 1)[-1] in ("running_mean", "running_var")}
+
+
+def test_accuracy_pass_leaves_every_running_statistic_bitwise():
+    cfg = hiri_micro_config(resolution=32)
+    model, _ = build_model(cfg, seed=9)
+    teacher, _ = build_model(cfg, seed=9)
+    data = SyntheticQuadrants(image_size=32, num_classes=2, seed=9)
+    tc = TrainConfig(steps=2, batch_size=4, mix_prob=1.0, seed=9)
+    _, tree, ema = train_loop(model, data, tc, teacher_model=teacher)
+    student, teacher_stats = _running_stats(tree), _running_stats(ema.tree)
+    assert student and teacher_stats
+    images, labels = data.sample(4)
+    buffers = [t.data for _, t in tree.items() if not t.requires_grad]
+
+    loop._accuracy(model, images, labels, buffers)
+    for before, after in ((student, _running_stats(tree)),
+                          (teacher_stats, _running_stats(ema.tree))):
+        for p, value in before.items():
+            assert np.array_equal(after[p], value), p
+    # the same pass without the restore does move them
+    with no_grad():
+        model(Tensor(images))
+    assert not all(np.array_equal(t, student[p])
+                   for p, t in _running_stats(tree).items())
+
+
+@pytest.mark.parametrize("mix", [dict(mix="none"), dict(mix_prob=1.0)],
+                         ids=["unmixed", "mixed"])
+def test_train_acc_is_the_clean_batch_accuracy_at_the_starting_weights(
+        mix, monkeypatch):
+    cfg = hiri_micro_config(resolution=32)
+
+    def start():
+        model, _ = build_model(cfg, seed=10)
+        teacher, _ = build_model(cfg, seed=10)
+        return model, teacher, SyntheticQuadrants(image_size=32, num_classes=2,
+                                                  seed=10)
+
+    model, _, data = start()
+    images, labels = data.sample(8)
+    with no_grad():
+        expect = model(Tensor(images)).data        # a fresh model is in train mode
+    seen = []
+    hits = loop._hits
+    monkeypatch.setattr(loop, "_hits",
+                        lambda logits, y: seen.append(logits.copy()) or hits(logits, y))
+
+    model, teacher, data = start()
+    tc = TrainConfig(steps=1, batch_size=8, seed=10, **mix)
+    records, _, _ = train_loop(model, data, tc, teacher_model=teacher)
+    assert len(seen) == 1 and np.array_equal(seen[0], expect)
+    assert records[0].train_acc == float((np.argmax(expect, axis=1) == labels).mean())
+
+
+def test_one_student_forward_per_unmixed_step_two_per_mixed(monkeypatch):
+    cfg = hiri_micro_config(resolution=32)
+    model, _ = build_model(cfg, seed=11)
+    teacher, _ = build_model(cfg, seed=11)
+    data = SyntheticQuadrants(image_size=32, num_classes=2, seed=11)
+    forwards, mixes = [], []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda x: forwards.append(1) or forward(x))
+    cut = loop.cutmix
+    monkeypatch.setattr(loop, "cutmix", lambda *a: mixes.append(1) or cut(*a))
+
+    tc = TrainConfig(steps=6, batch_size=4, seed=11)
+    train_loop(model, data, tc, teacher_model=teacher)
+    assert 0 < len(mixes) < 6
+    assert len(forwards) == 6 + len(mixes)
 
 
 class TestSyntheticData:
