@@ -150,12 +150,12 @@ def cmd_train(args) -> int:
     height, width = cfg.resolution
     if height != width:     # the synthetic images are square
         raise ConfigError(f"training needs a square resolution, got {height}x{width}")
+    tc = TrainConfig(steps=args.steps, alpha=args.alpha,    # checks every value
+                     ema_decay=args.ema_decay, seed=args.seed)
     model, _ = build_model(cfg, seed=args.seed)
     teacher, _ = build_model(cfg, seed=args.seed)
     dataset = SyntheticQuadrants(image_size=height,
                                  num_classes=cfg.num_classes, seed=args.seed)
-    tc = TrainConfig(steps=args.steps, alpha=args.alpha,
-                     ema_decay=args.ema_decay, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
     with open(metrics_path, "w") as stream:

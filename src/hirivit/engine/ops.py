@@ -23,8 +23,14 @@ Conventions
   gradients are bitwise equal to one-block runs (checked on OpenBLAS
   0.3.31's SkylakeX kernels), and results do not depend on either block
   size.
-* ``gelu`` computes its result in one buffer when no tape will keep its
-  ``phi`` (``tensor.records_tape``), bitwise equal to the taped result.
+* ``gelu`` runs SciPy's ``erf`` on ``|x / sqrt(2)|`` and restores the sign
+  with ``copysign``. SciPy's ``erf`` computes ``erf(-t)`` as ``-erf(t)``, so
+  the bits are those of ``erf(x / sqrt(2))``, but no element takes the
+  sign branch that random signs mispredict (about half of ``erf``'s time).
+  The whole chain runs over flat ``CONV_BLOCK_BYTES`` blocks of one output
+  buffer, each still in cache for its next step. When no tape will keep
+  ``phi`` (``tensor.records_tape``), the product with ``x`` is the chain's
+  last step, bitwise equal to the taped result.
 * Reductions over the key/value token axis inside attention are bitwise
   invariant to a permutation of that axis. The softmax denominator sums in
   value-sorted order; the attention-times-values product (``ordered_matmul``)
@@ -54,9 +60,11 @@ from .tensor import Tensor, make_result, records_tape
 
 INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Patch-matrix bytes per block of conv groups. Measured on a 2 MB-per-core L2
-# host, 256 KB to 1 MB blocks ran the depthwise shapes of HiRI-ViT-S@448 and
-# the micro model equally fast, and 2 MB and up ran them slower.
+# Patch-matrix bytes per block of conv groups, and bytes per block of gelu's
+# elementwise chain. Measured on a 2 MB-per-core L2 host, 256 KB to 1 MB blocks
+# ran the depthwise shapes of HiRI-ViT-S@448 and the micro model equally fast,
+# and 2 MB and up ran them slower; 128 KB to 1 MB blocks ran the GELUs of the
+# S@448 and ladder-row-1@224 forwards equally fast, and 2 MB ran them slower.
 CONV_BLOCK_BYTES = 1 << 19
 # Cap on the patch-matrix bytes of one forward block. A block of groups above
 # it (an ungrouped conv, or one large depthwise group) is built and multiplied
@@ -557,19 +565,47 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # activations and probability maps
 # ---------------------------------------------------------------------------
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU, ``x * phi``.
+def _phi(x: np.ndarray, times_x: bool) -> np.ndarray:
+    """``0.5 * (1 + erf(x / sqrt(2)))``, times ``x`` if ``times_x``, in one new buffer.
 
-    ``phi`` is computed in one buffer. Without a tape to keep it for
-    backward, it is multiplied by ``x`` in place, bitwise equal to ``x * phi``.
+    SciPy's ``erf`` computes a negative argument as ``-erf(-t)``, so it runs
+    on ``|x / sqrt(2)|`` and ``copysign`` puts the sign back: the same bits,
+    without a branch on each element's random sign. A C-contiguous ``x`` runs
+    the whole chain over flat blocks of ``CONV_BLOCK_BYTES`` (at least one
+    element), so each block stays in cache. Any other layout (no GELU input of
+    the models has one) is one block, allocated by ``x * INV_SQRT2`` so that
+    its strides stay those of the plain formula; the chain then repeats that
+    scaling.
     """
-    phi = x.data * INV_SQRT2
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    if x.flags.c_contiguous:
+        out = np.empty_like(x)
+        step = max(1, CONV_BLOCK_BYTES // x.itemsize)
+        flat_x, flat = x.reshape(-1), out.reshape(-1)
+        blocks = [(flat_x[i:i + step], flat[i:i + step]) for i in range(0, x.size, step)]
+    else:
+        out = x * INV_SQRT2
+        blocks = [(x, out)]
+    for xb, ob in blocks:
+        np.multiply(xb, INV_SQRT2, out=ob)
+        np.abs(ob, out=ob)
+        erf(ob, out=ob)
+        np.copysign(ob, xb, out=ob)
+        ob += 1.0
+        ob *= 0.5
+        if times_x:
+            ob *= xb
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact-erf GELU, ``x * phi``, bitwise equal to ``x * (0.5 * (1 + erf(x / sqrt(2))))``.
+
+    Without a tape to keep ``phi`` for backward, the result is computed in
+    one buffer (see :func:`_phi`).
+    """
     if not records_tape((x,)):
-        phi *= x.data
-        return make_result(phi, (x,), "gelu", None)
+        return make_result(_phi(x.data, True), (x,), "gelu", None)
+    phi = _phi(x.data, False)
     data = x.data * phi
 
     def bw(g):

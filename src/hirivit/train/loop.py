@@ -34,6 +34,8 @@ WARMUP_STEPS = 10
 
 @dataclass
 class TrainConfig:
+    """The recipe's settings; a value out of range raises ``ConfigError`` here."""
+
     steps: int = 200
     batch_size: int = 16
     alpha: float = 0.5            # mixed-label vs teacher-label tradeoff
@@ -41,6 +43,16 @@ class TrainConfig:
     mix: str = "cutmix"           # "cutmix" | "mixup" | "none"
     mix_prob: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mix not in ("cutmix", "mixup", "none"):
+            raise ConfigError(f"unknown mix kind {self.mix!r}")
+        for name in ("alpha", "ema_decay", "mix_prob"):
+            if not 0.0 <= (value := getattr(self, name)) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        if self.steps < 1 or self.batch_size < 1:
+            raise ConfigError("steps and batch_size must be positive,"
+                              f" got {self.steps} and {self.batch_size}")
 
 
 @dataclass
@@ -95,14 +107,6 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
     parameter tree holds the EMA weights (it starts as a copy of the
     student); required whenever ``alpha < 1``.
     """
-    if config.mix not in ("cutmix", "mixup", "none"):
-        raise ConfigError(f"unknown mix kind {config.mix!r}")
-    if not 0.0 <= config.alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {config.alpha}")
-    if not 0.0 <= config.mix_prob <= 1.0:
-        raise ConfigError(f"mix_prob must lie in [0, 1], got {config.mix_prob}")
-    if config.steps < 1 or config.batch_size < 1:
-        raise ConfigError("steps and batch_size must be positive")
     if config.alpha < 1.0 and teacher_model is None:
         raise ConfigError("distillation (alpha < 1) needs a teacher model")
 

@@ -208,3 +208,16 @@ def test_train_diverged_exits_1_without_traceback(tmp_path, monkeypatch, capsys)
     assert len(err) == 2
     assert (out_dir / "metrics.csv").read_text() == "step,loss,lr,train_acc\n"
     assert sorted(os.listdir(out_dir)) == ["metrics.csv"]
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--steps", "0", "steps"), ("--alpha", "1.5", "alpha"),
+    ("--ema-decay", "1.5", "ema_decay"),
+])
+def test_train_bad_recipe_value_exits_2_before_any_output(tmp_path, capsys, flag, value, name):
+    """The whole ``TrainConfig`` is checked before ``--out`` is touched, so a
+    usage error leaves no directory and no header-only metrics file."""
+    out_dir = tmp_path / "run"
+    _assert_usage_error(["train", flag, value, "--out", str(out_dir)], capsys,
+                        name, value)
+    assert not out_dir.exists()
