@@ -568,14 +568,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 def _phi(x: np.ndarray, times_x: bool) -> np.ndarray:
     """``0.5 * (1 + erf(x / sqrt(2)))``, times ``x`` if ``times_x``, in one new buffer.
 
-    SciPy's ``erf`` computes a negative argument as ``-erf(-t)``, so it runs
-    on ``|x / sqrt(2)|`` and ``copysign`` puts the sign back: the same bits,
-    without a branch on each element's random sign. A C-contiguous ``x`` runs
-    the whole chain over flat blocks of ``CONV_BLOCK_BYTES`` (at least one
-    element), so each block stays in cache. Any other layout (no GELU input of
-    the models has one) is one block, allocated by ``x * INV_SQRT2`` so that
-    its strides stay those of the plain formula; the chain then repeats that
-    scaling.
+    ``erf`` runs on ``|x / sqrt(2)|`` and ``copysign`` restores the sign (see
+    the module notes). A C-contiguous ``x`` runs the whole chain over flat
+    blocks of ``CONV_BLOCK_BYTES`` (at least one element), so each block stays
+    in cache. Any other layout (no GELU input of the models has one) is one
+    block, allocated by ``x * INV_SQRT2`` so that its strides stay those of
+    the plain formula; the chain then repeats that scaling.
     """
     if x.flags.c_contiguous:
         out = np.empty_like(x)

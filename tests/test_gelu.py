@@ -88,10 +88,6 @@ def _check(xs, taped, g=None, grad_errstate=None):
     _assert_same_bits(x.grad, ref_grad)
 
 
-def _block_elems():
-    return max(1, ops.CONV_BLOCK_BYTES // 8)
-
-
 @pytest.fixture(params=["default", 1], ids=["block-default", "block-1-byte"])
 def block_bytes(request, monkeypatch):
     if request.param != "default":
@@ -101,7 +97,7 @@ def block_bytes(request, monkeypatch):
 
 @pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
 def test_gelu_matches_formula_bitwise_on_every_size(block_bytes, taped):
-    block = _block_elems()
+    block = max(1, block_bytes // 8)
     rng = np.random.default_rng(1)
     for n in (1, block - 1, block, block + 1, 3 * block + 7):
         for scale in SCALES:
