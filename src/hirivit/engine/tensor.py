@@ -3,7 +3,11 @@
 The computation tape is the DAG of ``Tensor`` nodes itself: every operation
 records its parents and a backward closure on the output tensor.
 ``backward(loss)`` walks that tape once, in reverse topological order, and
-accumulates gradients into every ``requires_grad`` leaf.
+accumulates gradients into every ``requires_grad`` leaf. The walk consumes
+the tape: each node drops its parents and closure as it is reached, so the
+activations the closures saved are freed during the walk, and a finished
+``loss`` or its logits pin nothing. A second ``backward`` through a
+consumed node raises ``ValueError``; run the forward again instead.
 """
 
 from __future__ import annotations
@@ -138,10 +142,18 @@ def topo_order(root: Tensor) -> list:
     return order
 
 
+def _consumed(g):
+    """Stands in for a backward closure that :func:`backward` has freed."""
+    raise ValueError("the tape below this tensor was consumed by an earlier backward;"
+                     " run the forward again")
+
+
 def backward(loss: Tensor):
     """Populate gradients of every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be scalar (size 1).
+    ``loss`` must be scalar (size 1). Each node is unlinked from the tape
+    (parents and closure dropped) before its closure runs, and the closure
+    and its gradient are dropped once they have been used.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -149,17 +161,24 @@ def backward(loss: Tensor):
         raise ValueError("loss does not require grad; nothing to backpropagate")
 
     order = topo_order(loss)
+    if any(node._backward is _consumed for node in order):
+        _consumed(None)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        parents, fn = node._parents, node._backward
+        if parents:
+            node._parents, node._backward = (), _consumed
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and not node._parents:
+        if node.requires_grad and not parents:
             node.accumulate_grad(g)
-        if node._backward is None:
+        if fn is None:
             continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        parent_grads = fn(g)
+        fn = g = None
+        for p, pg in zip(parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue
             if id(p) in grads:
@@ -168,3 +187,4 @@ def backward(loss: Tensor):
                 grads[id(p)] = pg
             else:
                 p.accumulate_grad(pg)
+        parent_grads = pg = None

@@ -1,12 +1,15 @@
 """Reverse-mode gradients: hand cases, finite differences, determinism."""
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from hirivit.engine import (Tensor, backward, grad_check, loop_conv2d, loop_conv2d_grads,
-                            no_grad, ops)
+                            no_grad, ops, topo_order)
+from hirivit.train import TrainConfig, loop, train_loop
 
 
 def t(a, rg=True):
@@ -347,3 +350,118 @@ def test_upsample_backward_sums_block():
     y = ops.upsample_repeat(x, 3)
     backward(ops.tsum(y))
     np.testing.assert_array_equal(x.grad, [[[[9.0]]]])
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the tape
+# ---------------------------------------------------------------------------
+
+def _backward_keeping_tape(loss):
+    """The walk before it consumed the tape: every node keeps its parents and closure."""
+    order = topo_order(loss)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad and not node._parents:
+            node.accumulate_grad(g)
+        if node._backward is None:
+            continue
+        parent_grads = node._backward(g)
+        for p, pg in zip(node._parents, parent_grads):
+            if pg is None or not p.requires_grad:
+                continue
+            if id(p) in grads:
+                grads[id(p)] = grads[id(p)] + pg
+            elif p._parents or p._backward is not None:
+                grads[id(p)] = pg
+            else:
+                p.accumulate_grad(pg)
+
+
+def _gelu_chain(rng):
+    x, w = t(rng.standard_normal((2, 3, 6, 6))), t(rng.standard_normal((4, 3, 3, 3)))
+    y = ops.gelu(ops.conv2d(x, w, padding=1))
+    return x, w, y
+
+
+def test_second_backward_on_one_loss_raises():
+    x, w, y = _gelu_chain(np.random.default_rng(30))
+    loss = ops.tsum(ops.mul(y, y))
+    backward(loss)
+    gx, gw = x.grad.copy(), w.grad.copy()
+    with pytest.raises(ValueError, match="consumed"):
+        backward(loss)
+    assert (x.grad == gx).all() and (w.grad == gw).all()
+
+
+def test_second_loss_through_a_consumed_subgraph_raises():
+    # without the guard the freed y would pass for a leaf and take a gradient
+    x, w, y = _gelu_chain(np.random.default_rng(31))
+    backward(ops.tsum(y))
+    gx, gw = x.grad.copy(), w.grad.copy()
+    second = ops.tsum(ops.mul(y, y))
+    with pytest.raises(ValueError, match="consumed"):
+        backward(second)
+    assert y.grad is None
+    assert (x.grad == gx).all() and (w.grad == gw).all()
+
+
+@pytest.mark.parametrize("walk, freed", [(backward, True), (_backward_keeping_tape, False)])
+def test_backward_frees_the_activations_a_kept_loss_reached(walk, freed):
+    _, _, y = _gelu_chain(np.random.default_rng(32))
+    activation = weakref.ref(y.data)
+    loss = ops.tsum(ops.mul(y, y))
+    del y
+    walk(loss)
+    gc.collect()
+    assert (activation() is None) == freed
+    assert loss.requires_grad                           # loss is still referenced
+
+
+def _micro_run(micro_setup, steps):
+    model, teacher, data = micro_setup()
+    records, tree, _ = train_loop(model, data, TrainConfig(steps=steps, seed=0),
+                                  teacher_model=teacher)
+    return [r.loss for r in records], {p: e.data for p, e in tree.items()}
+
+
+def test_finished_step_keeps_no_tape_for_the_next(peak_bytes, micro_setup, monkeypatch):
+    # train_loop keeps a step's loss and logits while the next step runs;
+    # batch 16 at 64x64, the train_micro benchmark's recipe
+    def peak(steps):
+        model, teacher, data = micro_setup()
+        config = TrainConfig(steps=steps, seed=0)
+        return peak_bytes(lambda: train_loop(model, data, config, teacher_model=teacher))
+
+    _micro_run(micro_setup, 1)                          # warm caches before measuring
+    one, two = peak(1), peak(2)
+    monkeypatch.setattr(loop, "backward", _backward_keeping_tape)
+    two_kept = peak(2)
+    assert two <= 1.10 * one, (one, two)
+    assert two <= 0.85 * two_kept, (two, two_kept)
+
+
+def test_micro_training_is_bitwise_unchanged_by_consuming_the_tape(micro_setup, monkeypatch):
+    losses, tree = _micro_run(micro_setup, 20)
+    monkeypatch.setattr(loop, "backward", _backward_keeping_tape)
+    kept_losses, kept_tree = _micro_run(micro_setup, 20)
+    assert losses == kept_losses
+    assert tree.keys() == kept_tree.keys()
+    for p in tree:
+        assert tree[p].tobytes() == kept_tree[p].tobytes(), p
+
+
+@pytest.mark.parametrize("op_name", sorted(OP_CASES))
+@pytest.mark.parametrize("seed", range(5))
+def test_finite_difference_suite_gradients_are_bitwise_unchanged(op_name, seed):
+    def analytic(walk):
+        rng = np.random.default_rng(1000 * seed + zlib.crc32(op_name.encode()) % 1000)
+        tensors, apply = OP_CASES[op_name](rng)
+        weight = Tensor(np.random.default_rng(seed + 77).standard_normal(apply(tensors).shape))
+        walk(ops.tsum(ops.mul(apply(tensors), weight)))
+        return [tensors[k].grad for k in sorted(tensors)]
+
+    for a, b in zip(analytic(backward), analytic(_backward_keeping_tape), strict=True):
+        assert a.tobytes() == b.tobytes()

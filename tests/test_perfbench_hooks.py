@@ -5,7 +5,7 @@ every hooked name still exists."""
 import importlib.util
 import os
 
-from hirivit.train import AdamW, SyntheticQuadrants
+from hirivit.train import AdamW, SyntheticQuadrants, TrainConfig, train_loop
 from hirivit.train import loop
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -31,3 +31,35 @@ def test_every_traced_train_phase_is_a_loop_callable(monkeypatch):
 def test_traced_optimizer_and_sampler_exist():
     assert callable(AdamW.step)
     assert callable(SyntheticQuadrants.sample)
+
+
+def test_every_traced_backward_closure_runs_once_per_step(micro_setup, monkeypatch):
+    # backward unlinks each node before running its closure; a closure the
+    # tracer swapped in at creation must still run exactly once, so the
+    # tracer's bwd spans (tensor.tape_nodes) count every taped result once
+    tracing = _tracing(monkeypatch)
+    model, teacher, data = micro_setup()
+    tracer = tracing.Tracer()
+    calls = []
+    wrap_closure = tracer._wrap_closure
+
+    def counting(label, fn, path):
+        calls.append(0)
+        i = len(calls) - 1
+
+        def counted(g):
+            calls[i] += 1
+            return fn(g)
+
+        return wrap_closure(label, counted, path)
+
+    tracer._wrap_closure = counting
+    tracer.install(train=True)
+    try:
+        train_loop(model, data, TrainConfig(steps=1, mix_prob=1.0, seed=0),
+                   teacher_model=teacher)
+    finally:
+        tracer.remove()
+    assert not tracer.missing
+    assert calls and calls == [1] * len(calls)
+    assert sum(s[tracing.KIND] == "bwd" for s in tracer.spans) == len(calls)
