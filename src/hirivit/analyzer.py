@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CostRecord, CostRecorder, Module, eval_mode
+from .blocks import CostRecord, Module, eval_mode
 from .engine import Tensor, no_grad, ops
 from .engine.reference import CountingBackend
 from .errors import ConfigError
@@ -80,9 +80,7 @@ class CostReport:
 
 
 def _trace_report(model: Module, input_shape, path: str = "model") -> CostReport:
-    rec = CostRecorder()
-    model.trace(tuple(input_shape), rec, path)
-    return CostReport(rec.records)
+    return CostReport(model.trace(input_shape, path).records)
 
 
 def count_params(model) -> CostReport:

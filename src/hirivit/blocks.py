@@ -3,10 +3,10 @@
 Each module states its structure once: its parts as attributes, their use
 in ``forward(x)``. Two views derive from it:
 
-* ``trace(shape, rec)`` -- shape inference plus static cost accounting
+* ``trace(shape)`` -- shape inference plus static cost accounting
   (multiply-accumulates and elementwise op counts), obtained by running
   ``forward`` on an empty batch with ``_CostPass`` as the engine's observer
-  and kernel backend (see :meth:`Module.trace`);
+  (see :meth:`Module.trace`);
 * the registry -- the attributes: a ``Tensor`` that requires grad is a
   parameter, any other ``Tensor`` a buffer, a ``Module`` a child.
 """
@@ -38,53 +38,31 @@ class CostRecord(NamedTuple):
         return self.macs + self.elementwise
 
 
-class CostRecorder:
-    """Accumulates per-layer cost records during a trace pass."""
-
-    def __init__(self):
-        self.records: list[CostRecord] = []
-        self.shapes = {}           # path -> output shape of each module call
-
-    def add(self, path, params=0, macs=0, elementwise=0, activations=0):
-        self.records.append(CostRecord(path, int(params), int(macs), int(elementwise),
-                                       int(activations)))
-
-
 # ops that only re-view their input cost nothing; attention's two
 # contractions keep their established record names
 _FREE_OPS = frozenset({"reshape", "transpose", "scale"})
 _RECORD_NAMES = {"matmul": "qk", "ordered_matmul": "av"}
 
 
-class _CostPass(ops.FastBackend):
-    """Engine observer and kernel backend: charges each op result of a trace
-    to the innermost module call.
+class _CostPass:
+    """Engine observer: charges each op result of a trace to the innermost
+    module call, and notes each module call's output shape.
 
     A leaf module (no children) gets one record at its own path; an op run
     directly by a composite module gets a record ``<path>.<op>``. The trace
     runs on an empty batch, and every op keeps the batch on axis 0, so a
-    result stands for ``batch`` in axis 0 and its own axes from 1 on. As the
-    backend it runs the fast kernels, which do no arithmetic on that batch,
-    and notes the contraction length of the last call in ``k``.
+    result stands for ``batch`` in axis 0 and its own axes from 1 on.
     """
 
-    k = 0
-
-    def __init__(self, rec: CostRecorder, paths: dict, batch: int):
-        self.rec, self.paths, self.batch = rec, paths, batch
+    def __init__(self, paths: dict, batch: int):
+        self.paths, self.batch = paths, batch
+        self.records: list[CostRecord] = []
+        self.shapes = {}           # path -> output shape of each module call
         self.frames = []           # (path, [params, macs, elementwise, activations], leaf)
-
-    def matmul(self, a, b):
-        self.k = a.shape[-1]
-        return super().matmul(a, b)
-
-    def conv2d(self, x, w, bias, stride, padding, groups):
-        self.k = w[0].size
-        return super().conv2d(x, w, bias, stride, padding, groups)
 
     def call(self, module, x):
         path = self.paths[id(module)]
-        cost = [module.own_param_count(), 0, 0, 0]
+        cost = [sum(p.size for p in module._params.values()), 0, 0, 0]
         self.frames.append((path, cost, not module._children))
         try:
             out = module.forward(x)
@@ -96,14 +74,13 @@ class _CostPass(ops.FastBackend):
         finally:
             self.frames.pop()
         if any(cost):
-            self.rec.add(path, *cost)
-        self.rec.shapes[path] = (self.batch,) + out.shape[1:]
+            self.records.append(CostRecord(path, *cost))
+        self.shapes[path] = (self.batch,) + out.shape[1:]
         return out
 
-    def on_result(self, out):
-        # contractions note their length in ``k`` and cost that many MACs
-        # per output element; every other op costs one elementwise op
-        k, self.k = self.k, 0
+    def on_result(self, out, k):
+        # a contraction of length k costs k MACs per output element; every
+        # other op (k = 0) costs one elementwise op
         if out.op in _FREE_OPS:
             return
         path, cost, leaf = self.frames[-1]
@@ -112,7 +89,8 @@ class _CostPass(ops.FastBackend):
         if leaf:
             cost[:] = [a + b for a, b in zip(cost, op_cost)]
         else:
-            self.rec.add(f"{path}.{_RECORD_NAMES.get(out.op, out.op)}", *op_cost)
+            self.records.append(
+                CostRecord(f"{path}.{_RECORD_NAMES.get(out.op, out.op)}", *op_cost))
 
 
 def param(shape) -> Tensor:
@@ -172,9 +150,6 @@ class Module:
             tree.add(path, tensor)
         return tree
 
-    def own_param_count(self) -> int:
-        return sum(p.size for p in self._params.values())
-
     def train(self, mode: bool = True):
         self.training = mode
         for child in self._children.values():
@@ -194,25 +169,26 @@ class Module:
             return self.forward(x)
         return _tensor._observer.call(self, x)
 
-    def trace(self, in_shape, rec: CostRecorder, path: str = ""):
-        """Cost records and output shape of ``forward`` on an input shape.
+    def trace(self, in_shape, path: str = "") -> _CostPass:
+        """The ``_CostPass`` of ``forward`` on an input shape: its cost
+        ``records`` and the output ``shapes`` of each module call, by path.
 
         Runs ``forward`` in eval mode without a tape on an empty batch,
-        ``(0,) + in_shape[1:]``, with a ``_CostPass`` installed as both the
-        engine's observer and its kernel backend, which runs the real
-        kernels. The kernels do no arithmetic on it and give forward's
-        own output shapes, and forward's own shape checks apply; their errors
-        name ``in_shape``, not the empty batch. Costs and shapes are those of
-        a batch of ``in_shape[0] >= 1``. Every module's ``training`` flag and
-        the engine's previous observer are restored afterwards.
+        ``(0,) + in_shape[1:]``, with a ``_CostPass`` installed as the
+        engine's observer. The real kernels do no arithmetic on it and give
+        forward's own output shapes, and forward's own shape checks apply;
+        their errors name ``in_shape``, not the empty batch. Costs and shapes
+        are those of a batch of ``in_shape[0] >= 1``. Every module's
+        ``training`` flag and the engine's previous observer are restored
+        afterwards.
         """
         in_shape = tuple(in_shape)
         if in_shape[0] < 1:
             raise ShapeError(f"trace needs a batch of at least 1, got shape {in_shape}")
         empty = (0,) + in_shape[1:]
-        cost = _CostPass(rec, {id(m): p for p, m in self.named_modules(path)}, in_shape[0])
+        cost = _CostPass({id(m): p for p, m in self.named_modules(path)}, in_shape[0])
         try:
-            with eval_mode(self), no_grad(), ops.use_backend(cost), observe(cost):
+            with eval_mode(self), no_grad(), observe(cost):
                 self(Tensor(np.empty(empty)))
         except (ShapeError, ResolutionError) as exc:
             msg = str(exc).replace(str(empty), str(in_shape))
@@ -220,10 +196,10 @@ class Module:
                 msg = f"{msg} (input shape {in_shape})"
             exc.args = (msg,)
             raise
-        return rec.shapes[path]
+        return cost
 
     def out_shape(self, in_shape):
-        return self.trace(tuple(in_shape), CostRecorder())
+        return self.trace(in_shape).shapes[""]
 
 
 @contextlib.contextmanager

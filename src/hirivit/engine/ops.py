@@ -39,12 +39,11 @@ Conventions
   the query rows permutes its output rows bitwise. The query-key product
   (``matmul``) is a plain BLAS call and carries no such guarantee.
 * Forward kernels for conv2d and matmul dispatch through a swappable
-  backend: the vectorized ``FastBackend``, the MAC-counting loops of
-  ``reference.CountingBackend`` or the analyzer's trace pass
-  (``blocks._CostPass``), which runs the fast kernels and notes each
-  contraction's length. ``linear`` is
-  the backend's ``matmul`` plus a bias, and ``ordered_matmul`` sorts its
-  keys and sends the per-row product through the backend's ``matmul``.
+  backend: the vectorized ``FastBackend`` or the MAC-counting loops of
+  ``reference.CountingBackend``. ``linear`` is the backend's ``matmul``
+  plus a bias, and ``ordered_matmul`` sorts its keys and sends the per-row
+  product through the backend's ``matmul``. Each of these contractions
+  passes its length ``k`` to ``make_result`` for the engine's observer.
 """
 
 from __future__ import annotations
@@ -91,10 +90,6 @@ class FastBackend:
 
 
 _backend = FastBackend()
-
-
-def current_backend():
-    return _backend
 
 
 @contextlib.contextmanager
@@ -209,7 +204,7 @@ def _matmul_result(data, a: Tensor, b: Tensor, op: str) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-    return make_result(data, (a, b), op, bw)
+    return make_result(data, (a, b), op, bw, a.shape[-1])
 
 
 def _check_inner(a: Tensor, b: Tensor):
@@ -221,7 +216,7 @@ def _check_inner(a: Tensor, b: Tensor):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_inner(a, b)
-    return _matmul_result(current_backend().matmul(a.data, b.data), a, b, "matmul")
+    return _matmul_result(_backend.matmul(a.data, b.data), a, b, "matmul")
 
 
 def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -249,7 +244,7 @@ def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
     order = np.argsort(items, axis=-1, kind="stable")
     keys = keys[np.arange(len(keys))[:, None], order]
     a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
-    data = current_backend().matmul(a3[:, :, None, :], b3[:, None, :, :])
+    data = _backend.matmul(a3[:, :, None, :], b3[:, None, :, :])
     return _matmul_result(data.reshape(lead + (m, p)), a, b, "ordered_matmul")
 
 
@@ -261,7 +256,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"linear input feature axis {din} does not match weight columns {din_w}")
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, din)
-    y2 = current_backend().matmul(x2, weight.data.T)
+    y2 = _backend.matmul(x2, weight.data.T)
     if bias is not None:
         y2 = y2 + bias.data
     data = y2.reshape(*lead, dout)
@@ -275,7 +270,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             return (gx, gw)
         return (gx, gw, g2.sum(axis=0))
 
-    return make_result(data, parents, "linear", bw)
+    return make_result(data, parents, "linear", bw, din)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +426,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d output underflows: input {h}x{w_in}, kernel {kh}x{kw},"
             f" stride {sh}x{sw}, padding {ph}x{pw} -> {oh}x{ow}")
 
-    data = current_backend().conv2d(x.data, weight.data,
-                                    bias.data if bias is not None else None,
-                                    stride, padding, groups)
+    data = _backend.conv2d(x.data, weight.data, bias.data if bias is not None else None,
+                           stride, padding, groups)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     coutg = cout // groups
@@ -472,7 +466,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))
 
-    return make_result(data, parents, "conv2d", bw)
+    return make_result(data, parents, "conv2d", bw, cing * kh * kw)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +672,9 @@ def adaptive_avg_pool2d(x: Tensor, out_hw) -> Tensor:
     if oh < 1 or ow < 1 or oh > h or ow > w:
         raise ResolutionError(
             f"adaptive pool cannot map {h}x{w} onto {oh}x{ow}")
+    if not x.size:    # an empty batch, as the analyzer traces: no window matrices
+        return make_result(np.empty((n, c, oh, ow), x.dtype), (x,), "adaptive_avg_pool2d",
+                           lambda g: (np.zeros_like(x.data),))
     rm = _pool_matrix(h, oh, x.dtype)
     cm = _pool_matrix(w, ow, x.dtype)
     data = rm @ x.data @ cm.T

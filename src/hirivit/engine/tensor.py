@@ -40,7 +40,8 @@ def observe(observer):
     """Send the block's events to ``observer``, then restore the previous one.
 
     ``observer.call(module, x)`` replaces each ``Module.__call__`` and runs
-    ``module.forward(x)`` itself; ``observer.on_result(out)`` sees each op result.
+    ``module.forward(x)`` itself; ``observer.on_result(out, k)`` sees each op
+    result with its contraction length ``k`` (0 for an op that contracts none).
     """
     global _observer
     prev = _observer
@@ -106,7 +107,7 @@ def records_tape(parents: tuple) -> bool:
 
 
 def make_result(data: np.ndarray, parents: Iterable[Tensor], op: str,
-                backward: Optional[Callable[[np.ndarray], None]]) -> Tensor:
+                backward: Optional[Callable[[np.ndarray], None]], k: int = 0) -> Tensor:
     """Wrap an op result, recording tape edges only when :func:`records_tape`."""
     parents = tuple(parents)
     needs = records_tape(parents)
@@ -115,7 +116,7 @@ def make_result(data: np.ndarray, parents: Iterable[Tensor], op: str,
         out._parents = parents
         out._backward = backward
     if _observer is not None:
-        _observer.on_result(out)
+        _observer.on_result(out, k)
     return out
 
 

@@ -12,7 +12,6 @@ from .blocks import (
     ClassifierHead,
     ConvFFNBlock,
     ConvStem,
-    CostRecorder,
     DownsampleA,
     DownsampleB,
     FFNBlock,
@@ -106,9 +105,8 @@ class Model(Module):
 
     def stage_boundary_shapes(self, in_shape):
         """Feature shape after every stage, from one trace pass."""
-        rec = CostRecorder()
-        self.trace(in_shape, rec)
-        return [rec.shapes[f"stage{i}"] for i in range(1, len(self.stages) + 1)]
+        shapes = self.trace(in_shape).shapes
+        return [shapes[f"stage{i}"] for i in range(1, len(self.stages) + 1)]
 
     def load_state(self, tree: ParamTree):
         tree.copy_into(self.param_tree())

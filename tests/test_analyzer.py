@@ -97,10 +97,7 @@ class TestFlopCounting:
         for n in ns:
             side = int(np.sqrt(n))
             attn = Attention(d, 2, 1)
-            from hirivit.blocks import CostRecorder
-            rec = CostRecorder()
-            attn.trace((1, d, side, side), rec, "attn")
-            qk_av = sum(r[2] for r in rec.records
+            qk_av = sum(r[2] for r in attn.trace((1, d, side, side), "attn").records
                         if r[0].endswith((".qk", ".av")))
             flops.append(qk_av)
         slope = np.polyfit(np.log(ns), np.log(flops), 1)[0]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hirivit.blocks import (Attention, ClassifierHead, ConvFFNBlock, ConvStem,
-                            CostRecorder, DownsampleA, DownsampleB, FFNBlock,
-                            HighResBlock, HighResStem, TransformerBlock, ViTStem)
+                            DownsampleA, DownsampleB, FFNBlock, HighResBlock,
+                            HighResStem, TransformerBlock, ViTStem)
 from hirivit.engine import Tensor, grad_check, ops
 from hirivit.errors import ConfigError, ResolutionError
 from hirivit.params import ParamTree, init_tree

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hirivit.analyzer import count_flops, count_params, mac_counting_oracle
-from hirivit.engine import Tensor, no_grad, observe, tensor
+from hirivit.engine import Tensor, no_grad, observe, ops, tensor
 from hirivit.errors import ResolutionError, ShapeError
 from hirivit.train import distill_target
 from hirivit.zoo import Model, build_model, hiri_config, hiri_micro_config, mvit_config
@@ -77,7 +77,8 @@ def test_oracle_and_teacher_restore_mixed_mode_flags():
 
 def test_analysis_memory_does_not_grow_with_the_input(peak_bytes):
     model = Model(hiri_config("S", 448))
-    assert peak_bytes(lambda: count_flops(model, 1792)) < 20 * 2**20
+    for res in (1792, 16384):
+        assert peak_bytes(lambda: count_flops(model, res)) < 20 * 2**20, res
 
 
 @pytest.mark.parametrize("make", [lambda: Model(hiri_config("S", 448)),
@@ -111,17 +112,17 @@ def test_trace_errors_from_inner_modules_add_the_input_shape():
 
 
 class _Spy:
-    """An engine observer that counts its events and changes nothing."""
+    """An engine observer that notes its events and changes nothing."""
 
     def __init__(self):
-        self.calls = self.results = 0
+        self.calls, self.results = 0, []      # results: (op, k) of each op result
 
     def call(self, module, x):
         self.calls += 1
         return module.forward(x)
 
-    def on_result(self, out):
-        self.results += 1
+    def on_result(self, out, k):
+        self.results.append((out.op, k))
 
 
 def test_analysis_restores_the_engine_observer():
@@ -133,7 +134,7 @@ def test_analysis_restores_the_engine_observer():
         with pytest.raises(ResolutionError):
             count_flops(model, 32)
         assert tensor._observer is spy
-    assert (spy.calls, spy.results) == (0, 0)     # the analysis observed itself
+    assert (spy.calls, spy.results) == (0, [])    # the analysis observed itself
     assert tensor._observer is None
     assert model.out_shape((1, 3, 448, 448)) == (1, 1000)
     with pytest.raises(ResolutionError):
@@ -151,4 +152,29 @@ def test_observer_sees_a_forward_without_changing_it():
         with observe(spy):
             seen = model(x).data
     assert seen.tobytes() == plain.tobytes()
-    assert spy.calls >= len(list(model.named_modules())) and spy.results > spy.calls
+    assert spy.calls >= len(list(model.named_modules())) and len(spy.results) > spy.calls
+
+
+def test_each_op_reports_its_contraction_length():
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape))
+
+    x, c = t(2, 4, 6, 6), np.ones(4)
+    spy = _Spy()
+    with observe(spy):
+        ops.conv2d(x, t(6, 4, 3, 3), padding=1)          # dense: 4 * 3 * 3
+        ops.conv2d(x, t(4, 1, 3, 3), padding=1, groups=4)  # depthwise: 1 * 3 * 3
+        ops.conv2d(x, t(6, 4, 1, 1), t(6))                # 1x1: 4
+        ops.conv2d(x, t(8, 2, 3, 3), groups=2)            # grouped: 2 * 3 * 3
+        ops.linear(t(3, 5), t(7, 5), t(7))
+        ops.matmul(t(2, 3, 11), t(2, 11, 4))
+        ops.ordered_matmul(t(2, 3, 13), t(2, 13, 4))
+        ops.gelu(x)
+        ops.add(x, x)
+        ops.batch_norm(x, t(4), t(4), c * 0, c, training=False)
+        ops.softmax(x)
+    assert spy.results == [("conv2d", 36), ("conv2d", 9), ("conv2d", 4), ("conv2d", 18),
+                           ("linear", 5), ("matmul", 11), ("ordered_matmul", 13),
+                           ("gelu", 0), ("add", 0), ("batch_norm", 0), ("softmax", 0)]
