@@ -2,6 +2,10 @@
 
 Conventions
 -----------
+* A backward closure keeps what its gradient reads: arrays and shapes, never
+  an input ``Tensor`` other than a parameter. The tape holds only nodes
+  (``tensor._Node``), so an op result whose array no closure keeps is freed
+  as soon as the caller drops it, long before ``backward``.
 * conv2d implements cross-correlation (no kernel flip). Forward is im2col
   plus one GEMM per sample and group, in L2-sized blocks of groups: each
   block's patch matrix is built and multiplied before the next block's is
@@ -134,18 +138,20 @@ def ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return make_result(data, (a, b), "add", bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
     def bw(g):
-        return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
     return make_result(data, (a, b), "mul", bw)
 
@@ -160,11 +166,11 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, sa = tuple(shape), a.shape
     data = a.data.reshape(shape)
 
     def bw(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(sa),)
 
     return make_result(data, (a,), "reshape", bw)
 
@@ -182,12 +188,13 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    sa = a.shape
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, sa).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        return (np.broadcast_to(gg, sa).copy(),)
 
     return make_result(data, (a,), "sum", bw)
 
@@ -198,20 +205,31 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def _matmul_result(data, a: Tensor, b: Tensor, op: str) -> Tensor:
     """Tape node for ``data = a @ b``, however the product was summed."""
+    ad, bd = a.data, b.data
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
     return make_result(data, (a, b), op, bw, a.shape[-1])
 
 
 def _check_inner(a: Tensor, b: Tensor):
+    """Refuse a product whose operands disagree or that NumPy cannot allocate.
+
+    NumPy refuses an array whose nonzero extents times its item size exceed
+    ``intp``, even when another extent is 0 (the analyzer's empty batch).
+    """
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
             f" (axis -1 of lhs is {a.shape[-1]}, axis -2 of rhs is {b.shape[-2]})")
+    out = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    if math.prod(filter(None, out)) * 8 > np.iinfo(np.intp).max:
+        raise ResolutionError(
+            f"matmul product of {a.shape} x {b.shape} would be a {out} array,"
+            " too large to allocate")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -254,19 +272,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if din != din_w:
         raise ShapeError(
             f"linear input feature axis {din} does not match weight columns {din_w}")
-    lead = x.shape[:-1]
+    lead, sx, w, has_bias = x.shape[:-1], x.shape, weight.data, bias is not None
     x2 = x.data.reshape(-1, din)
-    y2 = _backend.matmul(x2, weight.data.T)
-    if bias is not None:
+    y2 = _backend.matmul(x2, w.T)
+    if has_bias:
         y2 = y2 + bias.data
     data = y2.reshape(*lead, dout)
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (x, weight, bias) if has_bias else (x, weight)
 
     def bw(g):
         g2 = g.reshape(-1, dout)
-        gx = (g2 @ weight.data).reshape(x.shape)
+        gx = (g2 @ w).reshape(sx)
         gw = g2.T @ x2
-        if bias is None:
+        if not has_bias:
             return (gx, gw)
         return (gx, gw, g2.sum(axis=0))
 
@@ -426,9 +444,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d output underflows: input {h}x{w_in}, kernel {kh}x{kw},"
             f" stride {sh}x{sw}, padding {ph}x{pw} -> {oh}x{ow}")
 
-    data = _backend.conv2d(x.data, weight.data, bias.data if bias is not None else None,
-                           stride, padding, groups)
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    xd, wd, x_grad, has_bias = x.data, weight.data, x.requires_grad, bias is not None
+    data = _backend.conv2d(xd, wd, bias.data if has_bias else None, stride, padding, groups)
+    parents = (x, weight, bias) if has_bias else (x, weight)
 
     coutg = cout // groups
 
@@ -437,12 +455,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         # forward's patch matrix, rebuilt; a strided conv's input gradient
         # scatter-adds each kernel tap's column gradient. Stride-1 input
         # gradients run the forward kernel instead.
-        win = _windows(x.data, kh, kw, stride, padding, groups)
+        win = _windows(xd, kh, kw, stride, padding, groups)
         g4 = g.reshape(n, groups, coutg, oh * ow)
         gw = np.empty((groups, coutg, cing * kh * kw), dtype=g.dtype)
-        scatter = x.requires_grad and (sh, sw) != (1, 1)
+        scatter = x_grad and (sh, sw) != (1, 1)
         if scatter:
-            w2t = np.swapaxes(weight.data.reshape(groups, coutg, cing * kh * kw), -1, -2)
+            w2t = np.swapaxes(wd.reshape(groups, coutg, cing * kh * kw), -1, -2)
             gxp = np.zeros((n, cin, h + 2 * ph, w_in + 2 * pw), dtype=g.dtype)
         for g0, g1, cols in _group_blocks(win):
             np.matmul(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
@@ -458,11 +476,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         gw = gw.reshape(cout, cing, kh, kw)
         if scatter:
             gx = gxp[:, :, ph:ph + h, pw:pw + w_in] if (ph or pw) else gxp
-        elif x.requires_grad:
-            gx = _conv2d_input_grad(g, weight.data, padding, groups)
+        elif x_grad:
+            gx = _conv2d_input_grad(g, wd, padding, groups)
         else:
             gx = None
-        if bias is None:
+        if not has_bias:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))
 
@@ -490,6 +508,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     count = n * h * w
     axes = (0, 2, 3)
     cshape = (1, c, 1, 1)
+    gd = gamma.data
     if training:
         if count < 1:
             raise ShapeError("batch_norm got an empty batch")
@@ -503,18 +522,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         running_var += momentum * unbiased
         inv = 1.0 / np.sqrt(var + eps)
         xn = xc * inv.reshape(cshape)
-        data = xn * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
+        data = xn * gd.reshape(cshape) + beta.data.reshape(cshape)
     else:
         # the running statistics fold into one per-channel scale and shift
         mean = running_mean.copy()
         inv = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma.data * inv
-        data = x.data * scale.reshape(cshape)
+        scale = gd * inv
+        xd = x.data        # backward normalizes the input again for gamma's gradient
+        data = xd * scale.reshape(cshape)
         data += (beta.data - mean * scale).reshape(cshape)
 
     def bw(g):
         inv4 = inv.reshape(cshape)
-        gxn = g * gamma.data.reshape(cshape)
+        gxn = g * gd.reshape(cshape)
         gbeta = g.sum(axis=axes)
         if training:
             ggamma = (g * xn).sum(axis=axes)
@@ -522,7 +542,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
             m2 = (gxn * xn).mean(axis=axes).reshape(cshape)
             gx = (gxn - m1 - xn * m2) * inv4
         else:
-            ggamma = (g * ((x.data - mean.reshape(cshape)) * inv4)).sum(axis=axes)
+            ggamma = (g * ((xd - mean.reshape(cshape)) * inv4)).sum(axis=axes)
             gx = gxn * inv4
         return (gx, ggamma, gbeta)
 
@@ -541,12 +561,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xn = (x.data - mean) * inv
-    data = xn * gamma.data + beta.data
+    gd = gamma.data
+    data = xn * gd + beta.data
 
     def bw(g):
         ggamma = (g * xn).reshape(-1, d).sum(axis=0)
         gbeta = g.reshape(-1, d).sum(axis=0)
-        gxn = g * gamma.data
+        gxn = g * gd
         m1 = gxn.mean(axis=-1, keepdims=True)
         m2 = (gxn * xn).mean(axis=-1, keepdims=True)
         gx = (gxn - m1 - xn * m2) * inv
@@ -592,17 +613,20 @@ def _phi(x: np.ndarray, times_x: bool) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU, ``x * phi``, bitwise equal to ``x * (0.5 * (1 + erf(x / sqrt(2))))``.
 
-    Without a tape to keep ``phi`` for backward, the result is computed in
-    one buffer (see :func:`_phi`).
+    Without a tape, the result is computed in one buffer (see :func:`_phi`).
+    On a tape, the closure keeps only the derivative ``phi + x * pdf``,
+    computed here, so the gradient ``g * (phi + x * pdf)`` keeps its bits.
     """
     if not records_tape((x,)):
         return make_result(_phi(x.data, True), (x,), "gelu", None)
     phi = _phi(x.data, False)
     data = x.data * phi
+    with np.errstate(over="ignore"):    # x * x overflows past 1e154, where pdf is 0
+        pdf = INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+    dphi = phi + x.data * pdf
 
     def bw(g):
-        pdf = INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (phi + x.data * pdf),)
+        return (g * dphi,)
 
     return make_result(data, (x,), "gelu", bw)
 
@@ -674,7 +698,7 @@ def adaptive_avg_pool2d(x: Tensor, out_hw) -> Tensor:
             f"adaptive pool cannot map {h}x{w} onto {oh}x{ow}")
     if not x.size:    # an empty batch, as the analyzer traces: no window matrices
         return make_result(np.empty((n, c, oh, ow), x.dtype), (x,), "adaptive_avg_pool2d",
-                           lambda g: (np.zeros_like(x.data),))
+                           lambda g: (np.zeros((n, c, h, w), g.dtype),))
     rm = _pool_matrix(h, oh, x.dtype)
     cm = _pool_matrix(w, ow, x.dtype)
     data = rm @ x.data @ cm.T
@@ -690,6 +714,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     data = x.data.mean(axis=(2, 3))
 
     def bw(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).copy(),)
 
     return make_result(data, (x,), "global_avg_pool", bw)

@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The computation tape is the DAG of ``Tensor`` nodes itself: every operation
-records its parents and a backward closure on the output tensor.
+The computation tape is a DAG of nodes apart from the tensors' data: a taped
+result's ``_node`` holds its backward closure and its parents' nodes, and a
+leaf is its own node. A closure keeps what its gradient reads (arrays and
+shapes, never an input ``Tensor`` other than a parameter), so an activation
+lives only while a closure or the caller holds its array.
 ``backward(loss)`` walks that tape once, in reverse topological order, and
 accumulates gradients into every ``requires_grad`` leaf. The walk consumes
 the tape: each node drops its parents and closure as it is reached, so the
-activations the closures saved are freed during the walk, and a finished
+arrays the closures saved are freed during the walk, and a finished
 ``loss`` or its logits pin nothing. A second ``backward`` through a
 consumed node raises ``ValueError``; run the forward again instead.
 """
@@ -52,8 +55,19 @@ def observe(observer):
         _observer = prev
 
 
+class _Node:
+    """A taped result's place on the tape: its backward closure and its parents' nodes."""
+
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True        # only a result that needs a gradient gets a node
+
+    def __init__(self, parents: tuple, backward: Optional[Callable[[np.ndarray], tuple]]):
+        self._parents = parents
+        self._backward = backward
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_node")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
         if not isinstance(data, np.ndarray):
@@ -64,8 +78,21 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.op = op
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._node: Optional[_Node] = None
+
+    # -- tape --------------------------------------------------------------
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):        # lets a tracer wrap a taped result's closure
+        self._node._backward = fn
 
     # -- structure ---------------------------------------------------------
 
@@ -106,28 +133,33 @@ def records_tape(parents: tuple) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
+def _tape_node(t: Tensor):
+    """The node of ``t`` on the tape: its ``_Node``, or ``t`` itself for a leaf."""
+    return t if t._node is None else t._node
+
+
 def make_result(data: np.ndarray, parents: Iterable[Tensor], op: str,
-                backward: Optional[Callable[[np.ndarray], None]], k: int = 0) -> Tensor:
-    """Wrap an op result, recording tape edges only when :func:`records_tape`."""
+                backward: Optional[Callable[[np.ndarray], tuple]], k: int = 0) -> Tensor:
+    """Wrap an op result, giving it a tape node only when :func:`records_tape`."""
     parents = tuple(parents)
     needs = records_tape(parents)
     out = Tensor(data, requires_grad=needs, op=op)
     if needs:
-        out._parents = parents
-        out._backward = backward
+        out._node = _Node(tuple(_tape_node(p) for p in parents), backward)
     if _observer is not None:
         _observer.on_result(out, k)
     return out
 
 
 def topo_order(root: Tensor) -> list:
-    """Reverse-topological schedule of the tape below ``root``.
+    """Reverse-topological schedule of the tape nodes below ``root``, whose
+    own node comes last.
 
     Iterative DFS; each node appears exactly once.
     """
     order = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(_tape_node(root), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -164,7 +196,7 @@ def backward(loss: Tensor):
     order = topo_order(loss)
     if any(node._backward is _consumed for node in order):
         _consumed(None)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(order[-1]): np.ones_like(loss.data)}
     while order:
         node = order.pop()
         parents, fn = node._parents, node._backward

@@ -9,8 +9,9 @@ the EMA teacher update. Emits one metrics CSV row per step
 ``train_acc`` is the train-mode accuracy on the step's clean batch at the
 weights the step starts from. An unmixed step reads it off its own
 training forward, whose input is that batch. A mixed step runs one no-grad
-train-mode pass over the clean images before the update (``_accuracy``),
-and puts back the BN running statistics that pass moves.
+train-mode pass over the clean images (``_accuracy``) before its training
+forward, so that pass does not run on top of the step's tape, and puts back
+the BN running statistics that pass moves.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
             target = y_mix
 
         opt.zero_grad()
+        acc = _accuracy(model, images, labels, buffers) if use_mix else None
         logits = model(Tensor(x_in))
         loss = soft_cross_entropy(logits, target)
         loss_val = loss.item()
@@ -151,9 +153,7 @@ def train_loop(model, dataset, config: TrainConfig, teacher_model=None,
             print(f"batch stats: min {x_in.min():.4g} max {x_in.max():.4g} "
                   f"labels {labels.tolist()}", file=sys.stderr)
             raise TrainingDiverged(step, loss_val, step - 1, config.batch_size)
-        if use_mix:
-            acc = _accuracy(model, images, labels, buffers)
-        else:
+        if acc is None:
             acc = _hits(logits.data, labels)
         backward(loss)
         lr = cosine_schedule(step - 1, config.steps, warmup, BASE_LR)

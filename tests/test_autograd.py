@@ -1,5 +1,6 @@
 """Reverse-mode gradients: hand cases, finite differences, determinism."""
 
+import collections
 import gc
 import weakref
 import zlib
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from hirivit.engine import (Tensor, backward, grad_check, loop_conv2d, loop_conv2d_grads,
-                            no_grad, ops, topo_order)
-from hirivit.train import TrainConfig, loop, train_loop
+                            no_grad, observe, ops, topo_order)
+from hirivit.train import TrainConfig, loop, soft_cross_entropy, train_loop
 
 
 def t(a, rg=True):
@@ -359,7 +360,7 @@ def test_upsample_backward_sums_block():
 def _backward_keeping_tape(loss):
     """The walk before it consumed the tape: every node keeps its parents and closure."""
     order = topo_order(loss)
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(order[-1]): np.ones_like(loss.data)}      # the loss's own node
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -418,6 +419,66 @@ def test_backward_frees_the_activations_a_kept_loss_reached(walk, freed):
     gc.collect()
     assert (activation() is None) == freed
     assert loss.requires_grad                           # loss is still referenced
+
+
+# ---------------------------------------------------------------------------
+# the tape keeps only what backward reads
+# ---------------------------------------------------------------------------
+
+class _DataSpy:
+    """Engine observer that keeps a weak reference to each op result's array."""
+
+    def __init__(self):
+        self.results = []
+
+    def call(self, module, x):
+        return module.forward(x)
+
+    def on_result(self, out, k):
+        self.results.append((out.op, weakref.ref(out.data)))
+
+
+def _micro_training_forward(micro_setup):
+    """The taped loss of one batch-16 train-mode forward of the micro model."""
+    model, _, data = micro_setup()
+    model.train(True)
+    images, labels = data.sample(16)
+    spy = _DataSpy()
+    with observe(spy):
+        loss = soft_cross_entropy(model(Tensor(images)), data.one_hot(labels))
+    return model, loss, spy
+
+
+def _closure_values(fn):
+    """The values bound in ``fn``'s closure cells, unbound cells left out."""
+    values = []
+    for cell in fn.__closure__ or ():
+        try:
+            values.append(cell.cell_contents)
+        except ValueError:
+            pass
+    return values
+
+
+def test_no_backward_closure_holds_a_non_parameter_tensor(micro_setup):
+    model, loss, _ = _micro_training_forward(micro_setup)
+    params = {id(t) for _, t in model.param_tree().trainable_items()}
+    held = [node._backward.__qualname__ for node in topo_order(loss)
+            if node._backward is not None
+            for value in _closure_values(node._backward)
+            for item in (value if isinstance(value, (tuple, list)) else (value,))
+            if isinstance(item, Tensor) and id(item) not in params]
+    assert not held, (len(held), sorted(set(held)))
+
+
+def test_a_live_loss_keeps_no_result_that_backward_does_not_read(micro_setup):
+    _, loss, spy = _micro_training_forward(micro_setup)
+    assert loss.requires_grad                           # the whole tape is still live
+    total = collections.Counter(op for op, _ in spy.results)
+    alive = collections.Counter(op for op, ref in spy.results if ref() is not None)
+    assert total["upsample_repeat"] > 0 and alive["upsample_repeat"] == 0
+    assert total["reshape"] > 0 and alive["reshape"] == 0
+    assert total["conv2d"] == 37 and alive["conv2d"] <= 7, alive
 
 
 def _micro_run(micro_setup, steps):

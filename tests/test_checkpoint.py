@@ -2,6 +2,7 @@
 
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestCheckpoint:
         tree.add("w", Tensor(np.arange(6.0).reshape(2, 3)))
         path = str(tmp_path / "t.hiri")
         save_checkpoint(tree, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[:4] == b"HIRI"
         assert struct.unpack_from("<I", blob, 4)[0] == 1
 
@@ -74,9 +75,9 @@ class TestCheckpoint:
         tree.add("w", Tensor(np.ones((4, 4))))
         path = str(tmp_path / "c.hiri")
         save_checkpoint(tree, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-12] ^= 0xFF         # flip a payload byte
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(blob)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
@@ -92,7 +93,7 @@ class TestCheckpoint:
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.hiri")
-        open(path, "wb").write(b"JUNKxxxx")
+        Path(path).write_bytes(b"JUNKxxxx")
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def test_gradcheck_unknown_block(capsys):
 def test_train_writes_artifacts(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     assert main(["train", "--steps", "5", "--seed", "11", "--out", out_dir]) == 0
-    metrics = open(os.path.join(out_dir, "metrics.csv")).read().splitlines()
+    metrics = Path(out_dir, "metrics.csv").read_text().splitlines()
     assert metrics[0] == "step,loss,lr,train_acc"
     assert len(metrics) == 6
     student = load_checkpoint(os.path.join(out_dir, "student.hiri"))
@@ -96,7 +97,7 @@ def test_train_deterministic_per_seed(tmp_path):
     for name in ("a", "b"):
         out_dir = str(tmp_path / name)
         assert main(["train", "--steps", "4", "--seed", "7", "--out", out_dir]) == 0
-        outs.append(open(os.path.join(out_dir, "metrics.csv")).read())
+        outs.append(Path(out_dir, "metrics.csv").read_text())
     assert outs[0] == outs[1]
     ta = load_checkpoint(str(tmp_path / "a" / "student.hiri"))
     tb = load_checkpoint(str(tmp_path / "b" / "student.hiri"))
@@ -140,6 +141,14 @@ def _assert_usage_error(argv, capsys, *names):
 def test_analyze_config_directory_exits_2(tmp_path, capsys):
     _assert_usage_error(["analyze", "--config", str(tmp_path), "--res", "64"],
                         capsys, str(tmp_path))
+
+
+def test_analyze_at_a_resolution_numpy_cannot_allocate_exits_2(capsys):
+    """At 2240000 a side the S build's attention scores would outgrow NumPy's
+    array size limit; the matmul shape check refuses them, naming both operands."""
+    _assert_usage_error(["analyze", "--variant", "S", "--res", "2240000"], capsys,
+                        "model.stage4.block1.attn", "too large to allocate",
+                        "(0, 5, 4900000000, 64) x (0, 5, 64, 1225000000)")
 
 
 def test_analyze_binary_config_exits_2(tmp_path, capsys):

@@ -107,7 +107,9 @@ def test_gelu_matches_formula_bitwise_on_every_size(block_bytes, taped):
 @pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
 def test_gelu_edge_values_bitwise(block_bytes, taped):
     """Finite edges raise no RuntimeWarning in the forward (tier-1 makes one an
-    error). The unchanged backward overflows ``x * x`` at 1e308 as before."""
+    error). The taped forward now computes the derivative, whose ``x * x``
+    overflows at 1e308 there, silenced, as pdf is 0; the reference gradient
+    overflows the same way."""
     _check(FINITE_EDGES, taped, grad_errstate={"over": "ignore"})
 
 

@@ -3,13 +3,14 @@ comments promise."""
 
 import os
 import re
+from pathlib import Path
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 
 
 def _quick_start_blocks():
-    text = open(README, encoding="utf-8").read()
+    text = Path(README).read_text(encoding="utf-8")
     section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
     return re.findall(r"```python\n(.*?)```", section, re.S)
 

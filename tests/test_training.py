@@ -580,6 +580,28 @@ def test_one_student_forward_per_unmixed_step_two_per_mixed(monkeypatch):
     assert len(forwards) == 6 + len(mixes)
 
 
+def test_mixed_step_runs_its_accuracy_pass_before_the_taped_forward(monkeypatch):
+    """The no-grad pass does not run on top of the step's tape."""
+    cfg = hiri_micro_config(resolution=32)
+    model, _ = build_model(cfg, seed=12)
+    teacher, _ = build_model(cfg, seed=12)
+    data = SyntheticQuadrants(image_size=32, num_classes=2, seed=12)
+    events = []
+    accuracy, forward = loop._accuracy, model.forward
+
+    def spied_forward(x):
+        out = forward(x)
+        events.append("taped forward" if out.requires_grad else "no-grad forward")
+        return out
+
+    monkeypatch.setattr(loop, "_accuracy",
+                        lambda *a: events.append("accuracy") or accuracy(*a))
+    monkeypatch.setattr(model, "forward", spied_forward)
+    train_loop(model, data, TrainConfig(steps=1, batch_size=4, mix_prob=1.0, seed=12),
+               teacher_model=teacher)
+    assert events == ["accuracy", "no-grad forward", "taped forward"]
+
+
 class TestSyntheticData:
     def test_deterministic(self):
         a = SyntheticQuadrants(seed=1).sample(4)
