@@ -10,7 +10,8 @@ the innermost module call. Conventions (fixed for this package):
                  additions are not MACs.
   * ``elementwise`` -- one op per output element of every other op
                  (normalization, activation, residual add, pooling,
-                 upsampling, softmax); reshape, transpose and scale are free.
+                 upsampling, softmax); reshape, transpose, scale and
+                 attention's key gather (``take_rows``) are free.
   * ``flops`` -- macs + elementwise. This matches the mac-denominated
                  "GFLOPs" figures customarily reported for vision backbones
                  (the elementwise share is about one percent).
@@ -70,13 +71,17 @@ class CostReport:
     def to_table(self, depth: int = 2) -> str:
         rows = [(r.path, r.params, r.flops, r.activations) for r in self.grouped(depth)]
         rows.append(("total", self.params, self.flops, self.activations))
-        widths = [max(len(str(v)) for v in col)
-                  for col in zip(*([("path", "params", "flops", "activations")] + rows))]
-        def fmt(row):
-            return "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
-        out = [fmt(("path", "params", "flops", "activations"))]
-        out.extend(fmt(r) for r in rows)
-        return "\n".join(out) + "\n"
+        return _aligned_table(("path", "params", "flops", "activations"), rows)
+
+
+def _aligned_table(header, rows) -> str:
+    """Columns as wide as their widest cell, two spaces apart, so each line
+    splits into one field per column; only the first is left-aligned."""
+    cells = [[str(v) for v in row] for row in [header, *rows]]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    just = [str.ljust] + [str.rjust] * (len(widths) - 1)
+    return "".join("  ".join(j(v, w) for j, v, w in zip(just, row, widths)) + "\n"
+                   for row in cells)
 
 
 def _trace_report(model: Module, input_shape, path: str = "model") -> CostReport:
@@ -168,12 +173,10 @@ def scaling_report(variants, resolutions, builder=None) -> list:
 
 
 def scaling_table(rows) -> str:
-    header = f"{'variant':<10}{'res':>6}{'params':>14}{'gflops':>10}{'ratio':>8}"
-    lines = [header]
-    for r in rows:
-        lines.append(f"{r.variant:<10}{r.resolution:>6}{r.params:>14,}"
-                     f"{r.gflops:>10.3f}{r.ratio_to_first:>8.3f}")
-    return "\n".join(lines) + "\n"
+    return _aligned_table(
+        ("variant", "res", "params", "gflops", "ratio"),
+        [(r.variant, r.resolution, f"{r.params:,}", f"{r.gflops:.3f}",
+          f"{r.ratio_to_first:.3f}") for r in rows])
 
 
 def scaling_csv(rows) -> str:

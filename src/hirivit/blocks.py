@@ -38,9 +38,9 @@ class CostRecord(NamedTuple):
         return self.macs + self.elementwise
 
 
-# ops that only re-view their input cost nothing; attention's two
+# ops that only re-view or reorder their input cost nothing; attention's two
 # contractions keep their established record names
-_FREE_OPS = frozenset({"reshape", "transpose", "scale"})
+_FREE_OPS = frozenset({"reshape", "transpose", "scale", "take_rows"})
 _RECORD_NAMES = {"matmul": "qk", "ordered_matmul": "av"}
 
 
@@ -543,6 +543,16 @@ def _maps(tokens, h, w):
     return ops.reshape(ops.transpose(tokens, (0, 2, 1)), (b, c, h, w))
 
 
+def _key_order(k, v):
+    """Per batch element, the stable order of the tokens ``(B, n, D)`` of k and
+    v by their bytes: k row, then v row. Tokens that tie have identical k and
+    v rows, so they give identical terms in every head, and each reduction
+    over the ordered keys runs in one order, whatever the input order."""
+    kv = np.ascontiguousarray(np.concatenate([k.data, v.data], axis=-1))
+    items = kv.view(np.dtype((np.void, kv.shape[-1] * kv.itemsize)))[..., 0]
+    return np.argsort(items, axis=-1, kind="stable")
+
+
 class Attention(Module):
     """Multi-head self-attention over an NCHW feature map or its tokens.
 
@@ -600,7 +610,8 @@ class Attention(Module):
         k, v = self.k(kv), self.v(kv)
         if self.kv_reduce == "pool":
             k, v = self._pool(k, h, w), self._pool(v, h, w)
-        k, v = self._split_heads(k), self._split_heads(v)
+        order = _key_order(k, v)
+        k, v = (self._split_heads(ops.take_rows(t, order)) for t in (k, v))
         scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
         out = ops.ordered_matmul(ops.softmax(scores, axis=-1), v)
         return self.proj(ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, self.dim)))

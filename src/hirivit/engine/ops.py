@@ -35,19 +35,17 @@ Conventions
   buffer, each still in cache for its next step. When no tape will keep
   ``phi`` (``tensor.records_tape``), the product with ``x`` is the chain's
   last step, bitwise equal to the taped result.
-* Reductions over the key/value token axis inside attention are bitwise
-  invariant to a permutation of that axis. The softmax denominator sums in
-  value-sorted order; the attention-times-values product (``ordered_matmul``)
-  contracts in one canonical key order per (batch, head), ordered by each
-  key's bytes, and computes each query row on its own, so a permutation of
-  the query rows permutes its output rows bitwise. The query-key product
-  (``matmul``) is a plain BLAS call and carries no such guarantee.
+* Reductions sum in the order their axis holds. ``blocks.Attention`` puts
+  its keys in one canonical order (``take_rows``), so attention does not
+  depend on the key order. ``ordered_matmul`` computes each query row on its
+  own, so a permutation of the query rows permutes its output rows bitwise;
+  the query-key ``matmul`` is a plain BLAS call with no such guarantee.
 * Forward kernels for conv2d and matmul dispatch through a swappable
   backend: the vectorized ``FastBackend`` or the MAC-counting loops of
   ``reference.CountingBackend``. ``linear`` is the backend's ``matmul``
-  plus a bias, and ``ordered_matmul`` sorts its keys and sends the per-row
-  product through the backend's ``matmul``. Each of these contractions
-  passes its length ``k`` to ``make_result`` for the engine's observer.
+  plus a bias, and ``ordered_matmul`` sends its per-row products through
+  the backend's ``matmul``. Each of these contractions passes its length
+  ``k`` to ``make_result`` for the engine's observer.
 """
 
 from __future__ import annotations
@@ -124,14 +122,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` with the addends in ascending value order.
-
-    The result is invariant (bitwise) to permutations along ``axis``.
-    """
-    return np.sum(np.sort(x, axis=axis), axis=axis)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -186,6 +176,19 @@ def transpose(a: Tensor, axes) -> Tensor:
     return make_result(data, (a,), "transpose", bw)
 
 
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """``x[b, index[b]]`` for each ``b`` of axis 0; ``index[b]`` permutes axis 1."""
+    rows, sx = np.arange(x.shape[0])[:, None], x.shape
+    data = x.data[rows, index]
+
+    def bw(g):
+        gx = np.empty(sx, g.dtype)
+        gx[rows, index] = g
+        return (gx,)
+
+    return make_result(data, (x,), "take_rows", bw)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
     sa = a.shape
@@ -238,32 +241,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul, bitwise permutation-equivariant in both token axes.
-
-    Used for the attention x values product. For each leading (batch, head)
-    index the contracted key/value axis is put in one canonical order: each
-    key is the bytes of its row of ``b`` followed by its column of ``a``,
-    and a stable sort of those byte strings orders the keys, so keys that
-    tie are identical and contribute identical terms. Each output row is
-    then its own ``(1, k) @ (k, p)`` product. A joint permutation of the
-    contracted axis therefore leaves the output bitwise unchanged, and a
-    permutation of the rows of ``a`` permutes the output rows bitwise. A
-    single GEMM would not do: the result for a row can depend on the row's
-    position in the block.
+    """Batched matmul whose output rows are each their own ``(1, k) @ (k, p)``
+    product, so a permutation of the rows of ``a`` permutes the output rows
+    bitwise. Used for the attention x values product. A single GEMM would
+    not do: the result for a row can depend on the row's position in it.
     """
     _check_inner(a, b)
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    (m, k), p = a.shape[-2:], b.shape[-1]
-    a3 = np.broadcast_to(a.data, lead + (m, k)).reshape(-1, m, k)
-    b3 = np.broadcast_to(b.data, lead + (k, p)).reshape(-1, k, p)
-    # (batch, key, value row + attention column), one void item per key
-    keys = np.ascontiguousarray(np.concatenate([b3, np.swapaxes(a3, 1, 2)], axis=-1))
-    items = keys.view(np.dtype((np.void, keys.strides[1])))[..., 0]
-    order = np.argsort(items, axis=-1, kind="stable")
-    keys = keys[np.arange(len(keys))[:, None], order]
-    a3, b3 = np.swapaxes(keys[:, :, p:], 1, 2), keys[:, :, :p]
-    data = _backend.matmul(a3[:, :, None, :], b3[:, None, :, :])
-    return _matmul_result(data.reshape(lead + (m, p)), a, b, "ordered_matmul")
+    data = _backend.matmul(a.data[..., :, None, :], b.data[..., None, :, :])[..., 0, :]
+    return _matmul_result(data, a, b, "ordered_matmul")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -632,13 +617,12 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax; the denominator sums in value-sorted order."""
+    """Max-stabilized softmax."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    denom = np.expand_dims(ordered_sum(e, axis=axis), axis)
-    data = e / denom
+    data = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * data).sum(axis=axis, keepdims=True)

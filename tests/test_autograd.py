@@ -116,6 +116,12 @@ def _batch_norm_eval_case(rng):
         lambda v: ops.batch_norm(v["x"], v["g"], v["b"], rm, rv, False))
 
 
+def _take_rows_case(rng):
+    order = np.stack([rng.permutation(5) for _ in range(2)])
+    return ({"x": t(rng.standard_normal((2, 5, 3)))},
+            lambda v: ops.take_rows(v["x"], order))
+
+
 OP_CASES = {
     **{f"conv2d_{name}": _conv_case(name) for name in CONV_CASES},
     "conv2d": lambda rng: (
@@ -140,6 +146,7 @@ OP_CASES = {
         {"a": t(rng.standard_normal((2, 3, 4))),
          "b": t(rng.standard_normal((2, 4, 5)))},
         lambda v: ops.ordered_matmul(v["a"], v["b"])),
+    "take_rows": _take_rows_case,
     "softmax": lambda rng: (
         {"x": t(rng.standard_normal((4, 6)))},
         lambda v: ops.softmax(v["x"], axis=-1)),

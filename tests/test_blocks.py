@@ -219,6 +219,35 @@ class TestAttention:
         out_perm = attn.forward_tokens(t(x[:, perm]), (3, 4)).data
         assert (out[:, perm] == out_perm).all()
 
+    def test_batch_permutation_equivariance_with_duplicate_tokens_bitwise(self):
+        attn = Attention(16, 4, 1)
+        randomize(attn, seed=18)
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((2, 12, 16))
+        x[:, [3, 7, 9]] = x[:, [0, 0, 5]]      # repeated tokens tie in k and v
+        x[1, 11] = x[0, 2]                     # a token of the other batch element
+        rows = np.arange(2)[:, None]
+        perm = np.stack([rng.permutation(12) for _ in range(2)])
+        out = attn.forward_tokens(t(x), (3, 4)).data
+        out_perm = attn.forward_tokens(t(x[rows, perm]), (3, 4)).data
+        assert (out[rows, perm] == out_perm).all()
+
+    def test_trace_orders_the_empty_batch(self, monkeypatch):
+        from hirivit import blocks
+
+        key_order, seen = blocks._key_order, []
+
+        def spy(k, v):
+            order = key_order(k, v)
+            seen.append((k.shape, v.shape, order.shape))
+            return order
+
+        monkeypatch.setattr(blocks, "_key_order", spy)
+        records = Attention(16, 4, 2, kv_reduce="conv").trace((3, 16, 4, 4), "attn").records
+        assert seen == [((0, 4, 16), (0, 4, 16), (0, 4))]
+        assert [r.path for r in records if r.path.endswith((".qk", ".av"))] \
+            == ["attn.qk", "attn.av"]
+
     def test_pooled_reduction_shapes(self):
         attn = Attention(8, 2, sr_ratio=2, kv_reduce="pool")
         randomize(attn, seed=16)

@@ -25,6 +25,15 @@ def test_analyze_table(capsys):
     assert p224 == p448
 
 
+def test_analyze_table_columns_stay_apart_at_a_huge_resolution(capsys):
+    # at 991680 a side, S's GFLOPs and ratio are 17 and 16 characters wide
+    assert main(["analyze", "--variant", "S", "--res", "991680"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert [len(ln.split()) for ln in lines] == [5, 5]
+    assert lines[1].split()[2:4] == ["34,601,256", "1576516214742.778"]
+
+
 def test_analyze_csv_parses(capsys):
     assert main(["analyze", "--variant", "S", "--res", "224", "--format", "csv"]) == 0
     out = capsys.readouterr().out
