@@ -227,12 +227,14 @@ class Conv2d(Module):
     def __init__(self, cin, cout, kernel, stride=1, padding=None, groups=1,
                  bias=True):
         super().__init__()
+        padding = kernel // 2 if padding is None else padding
+        ops._conv_settings(stride, padding, groups)
         if cin % groups or cout % groups:
             raise ConfigError(
                 f"conv channels ({cin}->{cout}) not divisible by groups={groups}")
         self.cin = cin
         self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
+        self.padding = padding
         self.groups = groups
         self.weight = param((cout, cin // groups, kernel, kernel))
         self.bias = param((cout,)) if bias else None
@@ -254,10 +256,17 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    """eps and momentum are ``ops.batch_norm``'s defaults."""
+    """eps and momentum are ``ops.batch_norm``'s defaults.
 
-    def __init__(self, channels):
+    ``inplace`` says that nothing reads the module's input after it, so an
+    eval-mode result without a tape may overwrite it (``ops`` conventions);
+    the module that wires this norm straight after the op making its input
+    sets it.
+    """
+
+    def __init__(self, channels, inplace=False):
         super().__init__()
+        self.inplace = inplace
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = param((channels,))
         self.running_mean = Tensor(np.zeros(channels))
@@ -266,7 +275,7 @@ class BatchNorm2d(Module):
     def forward(self, x):
         return ops.batch_norm(x, self.gamma, self.beta,
                               self.running_mean.data, self.running_var.data,
-                              self.training)
+                              self.training, inplace=self.inplace)
 
 
 class LayerNorm(Module):
@@ -298,8 +307,14 @@ def make_norm2d(kind: str, channels: int) -> Module:
 
 
 class GELU(Module):
+    """``inplace`` as for :class:`BatchNorm2d`: a no-tape result may overwrite the input."""
+
+    def __init__(self, inplace=False):
+        super().__init__()
+        self.inplace = inplace
+
     def forward(self, x):
-        return ops.gelu(x)
+        return ops.gelu(x, inplace=self.inplace)
 
 
 class AvgPoolHalve(Module):
@@ -336,26 +351,29 @@ class HighResStem(Module):
     A strided 3x3 conv halves the input; a cheap high-resolution branch
     (depth-wise 3x3 then strided 3x3) and a wider low-resolution branch
     (strided 3x3, expanding 3x3, projecting 1x1) are summed and normalized.
+
+    Every norm, activation and the sum run in place without a tape (``ops``
+    conventions): each one's input is the result of the op before it.
     """
 
     def __init__(self, cin, cout):
         super().__init__()
         mid = cout // 2
         self.entry = Conv2d(cin, mid, 3, stride=2, bias=False)
-        self.entry_norm = BatchNorm2d(mid)
-        self.entry_act = GELU()
+        self.entry_norm = BatchNorm2d(mid, inplace=True)
+        self.entry_act = GELU(inplace=True)
         self.hi_dw = Conv2d(mid, mid, 3, groups=mid, bias=False)
-        self.hi_norm = BatchNorm2d(mid)
-        self.hi_act = GELU()
+        self.hi_norm = BatchNorm2d(mid, inplace=True)
+        self.hi_act = GELU(inplace=True)
         self.hi_down = Conv2d(mid, cout, 3, stride=2, bias=False)
         self.lo_down = Conv2d(mid, cout, 3, stride=2, bias=False)
-        self.lo_norm1 = BatchNorm2d(cout)
-        self.lo_act1 = GELU()
+        self.lo_norm1 = BatchNorm2d(cout, inplace=True)
+        self.lo_act1 = GELU(inplace=True)
         self.lo_expand = Conv2d(cout, 2 * cout, 3, bias=False)
-        self.lo_norm2 = BatchNorm2d(2 * cout)
-        self.lo_act2 = GELU()
+        self.lo_norm2 = BatchNorm2d(2 * cout, inplace=True)
+        self.lo_act2 = GELU(inplace=True)
         self.lo_project = Conv2d(2 * cout, cout, 1, bias=False)
-        self.out_norm = BatchNorm2d(cout)
+        self.out_norm = BatchNorm2d(cout, inplace=True)
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -364,9 +382,10 @@ class HighResStem(Module):
         e = self.entry_act(self.entry_norm(self.entry(x)))
         hi = self.hi_down(self.hi_act(self.hi_norm(self.hi_dw(e))))
         lo = self.lo_act1(self.lo_norm1(self.lo_down(e)))
+        del e               # the half-resolution map: both branches have read it
         lo = self.lo_act2(self.lo_norm2(self.lo_expand(lo)))
         lo = self.lo_project(lo)
-        return self.out_norm(ops.add(hi, lo))
+        return self.out_norm(ops.add(hi, lo, inplace=True))
 
 
 class HighResBlock(Module):
@@ -381,12 +400,12 @@ class HighResBlock(Module):
     def __init__(self, channels, expansion):
         super().__init__()
         c, e = channels, expansion
-        self.pre_norm = BatchNorm2d(c)
+        self.pre_norm = BatchNorm2d(c)          # its input, the block's, is read again
         self.hi_dw = Conv2d(c, c, 3, groups=c)
         self.lo_dw = Conv2d(c, c, 3, stride=2, groups=c, bias=False)
-        self.lo_norm = BatchNorm2d(c)
+        self.lo_norm = BatchNorm2d(c, inplace=True)
         self.lo_fc1 = Conv2d(c, e * c, 1)
-        self.lo_act = GELU()
+        self.lo_act = GELU(inplace=True)
         self.lo_fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
@@ -396,10 +415,11 @@ class HighResBlock(Module):
                 f"high-resolution block needs even spatial extents, got {h}x{w}")
         z = self.pre_norm(x)
         hi = self.hi_dw(z)
-        lo = self.lo_norm(self.lo_dw(z))
-        lo = self.lo_fc2(self.lo_act(self.lo_fc1(lo)))
+        lo = self.lo_dw(z)
+        del z               # both branches have read it
+        lo = self.lo_fc2(self.lo_act(self.lo_fc1(self.lo_norm(lo))))
         lo = ops.upsample_repeat(lo, 2)
-        return ops.add(ops.add(x, hi), lo)
+        return ops.add(ops.add(x, hi, inplace=True), lo, inplace=True)
 
 
 def _resolve_resize(in_grid: int | None, out_grid: int | None):
@@ -433,11 +453,11 @@ class DownsampleA(Module):
         mid = self.expand_factor * cout
         self.pre_pool = pre_pool
         self.reduce = Conv2d(cin, mid, 3, stride=stride, bias=False)
-        self.norm1 = BatchNorm2d(mid)
-        self.act1 = GELU()
+        self.norm1 = BatchNorm2d(mid, inplace=True)
+        self.act1 = GELU(inplace=True)
         self.project = Conv2d(mid, cout, 1, bias=False)
-        self.norm2 = BatchNorm2d(cout)
-        self.act2 = GELU()
+        self.norm2 = BatchNorm2d(cout, inplace=True)
+        self.act2 = GELU(inplace=True)
         self.sc_pool = sc_pool
         self.sc_project = Conv2d(cin, cout, 1)
 
@@ -446,7 +466,7 @@ class DownsampleA(Module):
         y = self.act1(self.norm1(self.reduce(y)))
         y = self.act2(self.norm2(self.project(y)))
         s = self.sc_project(self.sc_pool(x))
-        return ops.add(y, s)
+        return ops.add(y, s, inplace=True)
 
 
 class DownsampleB(Module):
@@ -465,8 +485,8 @@ class DownsampleB(Module):
         mid = self.expand_factor * cin
         self.pre_pool = pre_pool
         self.expand = Conv2d(cin, mid, 1, bias=False)
-        self.norm1 = BatchNorm2d(mid)
-        self.act1 = GELU()
+        self.norm1 = BatchNorm2d(mid, inplace=True)
+        self.act1 = GELU(inplace=True)
         self.dw = Conv2d(mid, mid, 3, stride=stride, groups=mid)
         self.project = Conv2d(mid, cout, 1)
         self.sc_pool = sc_pool
@@ -477,7 +497,7 @@ class DownsampleB(Module):
         y = self.act1(self.norm1(self.expand(y)))
         y = self.project(self.dw(y))
         s = self.sc_project(self.sc_pool(x))
-        return ops.add(y, s)
+        return ops.add(y, s, inplace=True)
 
 
 class PlainDownsample(Module):
@@ -507,14 +527,14 @@ class ConvFFNBlock(Module):
         c, e = channels, expansion
         self.pre_norm = make_norm2d(norm, c)
         self.fc1 = Conv2d(c, e * c, 1)
-        self.act = GELU()
+        self.act = GELU(inplace=True)
         self.dw = Conv2d(e * c, e * c, 3, groups=e * c)
         self.fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
         z = self.act(self.fc1(self.pre_norm(x)))
-        y = self.fc2(ops.add(self.dw(z), z))
-        return ops.add(x, y)
+        z = ops.add(self.dw(z), z, inplace=True)
+        return ops.add(x, self.fc2(z), inplace=True)
 
 
 class FFNBlock(Module):
@@ -525,12 +545,12 @@ class FFNBlock(Module):
         c, e = channels, expansion
         self.pre_norm = make_norm2d(norm, c)
         self.fc1 = Conv2d(c, e * c, 1)
-        self.act = GELU()
+        self.act = GELU(inplace=True)
         self.fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
         y = self.fc2(self.act(self.fc1(self.pre_norm(x))))
-        return ops.add(x, y)
+        return ops.add(x, y, inplace=True)
 
 
 def _tokens(x_map):
@@ -612,8 +632,11 @@ class Attention(Module):
             k, v = self._pool(k, h, w), self._pool(v, h, w)
         order = _key_order(k, v)
         k, v = (self._split_heads(ops.take_rows(t, order)) for t in (k, v))
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale)
-        out = ops.ordered_matmul(ops.softmax(scores, axis=-1), v)
+        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), self.scale,
+                           inplace=True)
+        del q
+        out = ops.ordered_matmul(ops.softmax(scores, axis=-1, inplace=True), v)
+        del scores          # (n, n_kv) per head: not alive through the projection
         return self.proj(ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, self.dim)))
 
     def forward(self, x):
@@ -633,7 +656,7 @@ class TransformerBlock(Module):
         self.ffn = ffn_cls(dim, expansion, norm=ffn_norm)
 
     def forward(self, x):
-        return self.ffn(ops.add(x, self.attn(self.attn_norm(x))))
+        return self.ffn(ops.add(x, self.attn(self.attn_norm(x)), inplace=True))
 
 
 class ClassifierHead(Module):
@@ -648,7 +671,7 @@ class ClassifierHead(Module):
         self.hidden = hidden
         if hidden:
             self.pre = Linear(cin, hidden)
-            self.act = GELU()
+            self.act = GELU(inplace=True)
             self.fc = Linear(hidden, num_classes)
         else:
             self.fc = Linear(cin, num_classes)
@@ -687,16 +710,16 @@ class ConvStem(Module):
         super().__init__()
         mid = cout // 2
         self.conv1 = Conv2d(cin, mid, 3, stride=2, bias=False)
-        self.norm1 = BatchNorm2d(mid)
-        self.act1 = GELU()
+        self.norm1 = BatchNorm2d(mid, inplace=True)
+        self.act1 = GELU(inplace=True)
         self.conv2 = Conv2d(mid, mid, 3, bias=False)
-        self.norm2 = BatchNorm2d(mid)
-        self.act2 = GELU()
+        self.norm2 = BatchNorm2d(mid, inplace=True)
+        self.act2 = GELU(inplace=True)
         self.conv3 = Conv2d(mid, cout, 3, stride=2, bias=False)
-        self.norm3 = BatchNorm2d(cout)
-        self.act3 = GELU()
+        self.norm3 = BatchNorm2d(cout, inplace=True)
+        self.act3 = GELU(inplace=True)
         self.conv4 = Conv2d(cout, cout, 1, bias=False)
-        self.norm4 = BatchNorm2d(cout)
+        self.norm4 = BatchNorm2d(cout, inplace=True)
 
     def forward(self, x):
         y = self.act1(self.norm1(self.conv1(x)))

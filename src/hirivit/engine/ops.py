@@ -35,6 +35,15 @@ Conventions
   buffer, each still in cache for its next step. When no tape will keep
   ``phi`` (``tensor.records_tape``), the product with ``x`` is the chain's
   last step, bitwise equal to the taped result.
+* A no-tape op may overwrite its input only when its caller grants it with
+  ``inplace=True``: ``gelu``, ``scale``, ``softmax``, eval-mode
+  ``batch_norm``, and ``add``, whose grant covers its second operand. Only
+  the code that wires an op straight after the op that made its input knows
+  that nothing reads that input again, so the grant is made there, never
+  inferred. The op honours it only when it records no tape, and only into a
+  writable C-contiguous array of the result's shape and dtype, so the
+  result keeps the layout a new array would get (see :func:`_reusable`).
+  Every value is bitwise the one a new array would hold.
 * Reductions sum in the order their axis holds. ``blocks.Attention`` puts
   its keys in one canonical order (``take_rows``), so attention does not
   depend on the key order. ``ordered_matmul`` computes each query row on its
@@ -122,12 +131,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _reusable(x: Tensor, parents: tuple, dtype=None) -> bool:
+    """Whether an op granted ``inplace`` may write its result into ``x``'s array.
+
+    Only without a tape, and only into a writable C-contiguous array of the
+    result's ``dtype`` (by default ``x``'s), so the result keeps the layout
+    and dtype a new array would get.
+    """
+    d = x.data
+    return (not records_tape(parents) and d.flags.writeable and d.flags.c_contiguous
+            and (dtype is None or d.dtype == dtype))
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
+    """``a + b``; ``inplace`` grants writing a no-tape result into ``b``.
+
+    ``b`` must then be a temporary that nothing reads again, as the residual
+    branch of ``x + f(x)`` is. Only operands of one shape qualify. NumPy
+    lays ``a + b`` out C-contiguously whenever ``b`` is, whatever the layout
+    of ``a``, so writing into a C-contiguous ``b`` keeps the layout.
+    """
+    reuse = (inplace and a.shape == b.shape
+             and _reusable(b, (a, b), np.result_type(a.data, b.data)))
+    data = np.add(a.data, b.data, out=b.data if reuse else None)
     sa, sb = a.shape, b.shape
 
     def bw(g):
@@ -146,8 +176,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_result(data, (a, b), "mul", bw)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    data = a.data * s
+def scale(a: Tensor, s: float, inplace: bool = False) -> Tensor:
+    """``a * s``; ``inplace`` grants writing a no-tape result into ``a``."""
+    data = np.multiply(a.data, s, out=a.data if inplace and _reusable(a, (a,)) else None)
 
     def bw(g):
         return (g * s,)
@@ -405,12 +436,20 @@ def _conv2d_input_grad(g, w, padding, groups):
     return _conv2d_fast(g, wt, None, (1, 1), (max(ph, 0), max(pw, 0)), groups)
 
 
+def _conv_settings(stride, padding, groups: int):
+    """``(stride, padding)`` as (h, w) pairs; ``ConfigError`` unless every
+    stride and ``groups`` are at least 1 and no padding is negative."""
+    stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
+    padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
+    if groups < 1 or min(stride) < 1 or min(padding) < 0:
+        raise ConfigError(f"conv2d needs groups >= 1, stride >= 1 and padding >= 0,"
+                          f" got groups={groups}, stride={stride}, padding={padding}")
+    return stride, padding
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
-    if isinstance(stride, int):
-        stride = (stride, stride)
-    if isinstance(padding, int):
-        padding = (padding, padding)
+    stride, padding = _conv_settings(stride, padding, groups)
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got {x.shape}")
     n, cin, h, w_in = x.shape
@@ -478,12 +517,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               eps: float = 1e-5, inplace: bool = False) -> Tensor:
     """Channel-wise batch normalization over an NCHW tensor.
 
     In training mode the batch statistics normalize and the running buffers
     are updated in place, so the batch must not be empty; in eval mode the
-    running buffers normalize.
+    running buffers normalize, and ``inplace`` grants writing a no-tape
+    result into ``x``.
     """
     if eps <= 0:
         raise ConfigError(f"batch_norm epsilon must be positive, got {eps}")
@@ -514,7 +554,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         inv = 1.0 / np.sqrt(running_var + eps)
         scale = gd * inv
         xd = x.data        # backward normalizes the input again for gamma's gradient
-        data = xd * scale.reshape(cshape)
+        reuse = inplace and _reusable(x, (x, gamma, beta), np.result_type(xd, scale))
+        data = np.multiply(xd, scale.reshape(cshape), out=xd if reuse else None)
         data += (beta.data - mean * scale).reshape(cshape)
 
     def bw(g):
@@ -535,7 +576,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalization over the last axis, per token."""
+    """Normalization over the last axis, per token.
+
+    The forward allocates no temporary: one buffer holds the squared
+    deviations for the variance, then the deviations again, scaled in
+    place. A tape keeps the normalized input apart from the result.
+    """
     if eps <= 0:
         raise ConfigError(f"layer_norm epsilon must be positive, got {eps}")
     d = x.shape[-1]
@@ -543,11 +589,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         raise ShapeError(
             f"layer_norm affine shape {gamma.shape} does not match feature axis {d}")
     mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xn = x.data - mean
+    # what x.var(axis=-1) computes, in the buffer it would allocate
+    var = np.square(xn, out=xn).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xn = (x.data - mean) * inv
+    xn = np.subtract(x.data, mean, out=xn)
+    xn *= inv
     gd = gamma.data
-    data = xn * gd + beta.data
+    data = xn * gd if records_tape((x, gamma, beta)) else np.multiply(xn, gd, out=xn)
+    data += beta.data
 
     def bw(g):
         ggamma = (g * xn).reshape(-1, d).sum(axis=0)
@@ -565,25 +615,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # activations and probability maps
 # ---------------------------------------------------------------------------
 
-def _phi(x: np.ndarray, times_x: bool) -> np.ndarray:
-    """``0.5 * (1 + erf(x / sqrt(2)))``, times ``x`` if ``times_x``, in one new buffer.
+def _phi(x: np.ndarray, times_x: bool, inplace: bool = False) -> np.ndarray:
+    """``0.5 * (1 + erf(x / sqrt(2)))``, times ``x`` if ``times_x``, in one
+    new buffer, or in ``x`` itself if ``inplace`` (a C-contiguous ``x``).
 
     ``erf`` runs on ``|x / sqrt(2)|`` and ``copysign`` restores the sign (see
     the module notes). A C-contiguous ``x`` runs the whole chain over flat
     blocks of ``CONV_BLOCK_BYTES`` (at least one element), so each block stays
-    in cache. Any other layout (no GELU input of the models has one) is one
-    block, allocated by ``x * INV_SQRT2`` so that its strides stay those of
-    the plain formula; the chain then repeats that scaling.
+    in cache. The chain reads ``x`` again after its first write, so an
+    in-place run first copies each block of ``x`` into one scratch block.
+    Any other layout (no GELU input of the models has one) is one block,
+    allocated by ``x * INV_SQRT2`` so that its strides stay those of the
+    plain formula; the chain then repeats that scaling.
     """
     if x.flags.c_contiguous:
-        out = np.empty_like(x)
+        out = x if inplace else np.empty_like(x)
         step = max(1, CONV_BLOCK_BYTES // x.itemsize)
         flat_x, flat = x.reshape(-1), out.reshape(-1)
         blocks = [(flat_x[i:i + step], flat[i:i + step]) for i in range(0, x.size, step)]
+        scratch = np.empty(min(step, x.size), x.dtype) if inplace else None
     else:
         out = x * INV_SQRT2
         blocks = [(x, out)]
     for xb, ob in blocks:
+        if inplace:
+            xb = scratch[:xb.size]
+            np.copyto(xb, ob)
         np.multiply(xb, INV_SQRT2, out=ob)
         np.abs(ob, out=ob)
         erf(ob, out=ob)
@@ -595,15 +652,17 @@ def _phi(x: np.ndarray, times_x: bool) -> np.ndarray:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: Tensor, inplace: bool = False) -> Tensor:
     """Exact-erf GELU, ``x * phi``, bitwise equal to ``x * (0.5 * (1 + erf(x / sqrt(2))))``.
 
-    Without a tape, the result is computed in one buffer (see :func:`_phi`).
-    On a tape, the closure keeps only the derivative ``phi + x * pdf``,
-    computed here, so the gradient ``g * (phi + x * pdf)`` keeps its bits.
+    Without a tape, the result is computed in one buffer (see :func:`_phi`),
+    which ``inplace`` grants to be ``x``'s own. On a tape, the closure keeps
+    only the derivative ``phi + x * pdf``, computed here, so the gradient
+    ``g * (phi + x * pdf)`` keeps its bits.
     """
     if not records_tape((x,)):
-        return make_result(_phi(x.data, True), (x,), "gelu", None)
+        data = _phi(x.data, True, inplace and _reusable(x, (x,)))
+        return make_result(data, (x,), "gelu", None)
     phi = _phi(x.data, False)
     data = x.data * phi
     with np.errstate(over="ignore"):    # x * x overflows past 1e154, where pdf is 0
@@ -616,13 +675,15 @@ def gelu(x: Tensor) -> Tensor:
     return make_result(data, (x,), "gelu", bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax."""
+def softmax(x: Tensor, axis: int = -1, inplace: bool = False) -> Tensor:
+    """Max-stabilized softmax, computed in one buffer: a new one, or ``x``'s
+    own when ``inplace`` grants it to a no-tape result."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = np.subtract(x.data, x.data.max(axis=axis, keepdims=True),
+                       out=x.data if inplace and _reusable(x, (x,)) else None)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * data).sum(axis=axis, keepdims=True)

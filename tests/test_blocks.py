@@ -193,8 +193,8 @@ class TestAttention:
         captured = []
         orig = ops.softmax
 
-        def capture(x, axis=-1):
-            y = orig(x, axis=axis)
+        def capture(x, axis=-1, **kwargs):
+            y = orig(x, axis=axis, **kwargs)
             captured.append(y.data)
             return y
 

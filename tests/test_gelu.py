@@ -23,6 +23,7 @@ FINITE_EDGES = np.concatenate([FINITE_EDGES, -FINITE_EDGES])
 INF_EDGES = np.array([np.inf, -np.inf])
 SCALES = (0.1, 1.0, 4.0, 50.0)
 SIGN = np.uint64(1 << 63)
+MODES = ["no-grad", "taped", "in-place"]
 
 
 def _formula(x):
@@ -36,8 +37,9 @@ def _formula_grad(x, phi, g):
     return g * (phi + x * pdf)
 
 
-def _gelu_before(x: Tensor) -> Tensor:
-    """``ops.gelu`` as it was before the sign split and the blocks."""
+def _gelu_before(x: Tensor, inplace: bool = False) -> Tensor:
+    """``ops.gelu`` as it was before the sign split and the blocks; it
+    always allocates its result, whatever ``inplace`` grants."""
     phi = x.data * ops.INV_SQRT2
     erf(phi, out=phi)
     phi += 1.0
@@ -64,18 +66,24 @@ def _assert_same_bits(a, b):
     assert np.array_equal(np.where(nan, ua & ~SIGN, ua), np.where(nan, ub & ~SIGN, ub))
 
 
-def _check(xs, taped, g=None, grad_errstate=None):
+def _check(xs, mode, g=None, grad_errstate=None):
     """Run ``ops.gelu`` on ``xs`` and compare it (and its gradient) with the formula.
 
-    ``grad_errstate`` applies to the gradient only, so the forward of finite
-    inputs raises any RuntimeWarning it would raise.
+    ``mode`` is "taped", "no-grad", or "in-place": no grad, on a copy of
+    ``xs`` that the result may overwrite. ``grad_errstate`` applies to the
+    gradient only, so the forward of finite inputs raises any RuntimeWarning
+    it would raise.
     """
     ref, phi = _formula(xs)
-    if not taped:
+    if mode != "taped":
+        inplace = mode == "in-place"
+        x = Tensor(xs.copy(order="K") if inplace else xs, requires_grad=True)
         with no_grad():
-            y = ops.gelu(Tensor(xs, requires_grad=True)).data
+            y = ops.gelu(x, inplace=inplace).data
         _assert_same_bits(y, ref)
         assert y.strides == ref.strides
+        # only a C-contiguous input is overwritten; any other gets a new array
+        assert (y is x.data) == (inplace and xs.flags.c_contiguous)
         return
     x = Tensor(xs, requires_grad=True)
     y = ops.gelu(x)
@@ -95,45 +103,45 @@ def block_bytes(request, monkeypatch):
     return ops.CONV_BLOCK_BYTES
 
 
-@pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
-def test_gelu_matches_formula_bitwise_on_every_size(block_bytes, taped):
+@pytest.mark.parametrize("mode", MODES)
+def test_gelu_matches_formula_bitwise_on_every_size(block_bytes, mode):
     block = max(1, block_bytes // 8)
     rng = np.random.default_rng(1)
     for n in (1, block - 1, block, block + 1, 3 * block + 7):
         for scale in SCALES:
-            _check(rng.standard_normal(n) * scale, taped)
+            _check(rng.standard_normal(n) * scale, mode)
 
 
-@pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
-def test_gelu_edge_values_bitwise(block_bytes, taped):
+@pytest.mark.parametrize("mode", MODES)
+def test_gelu_edge_values_bitwise(block_bytes, mode):
     """Finite edges raise no RuntimeWarning in the forward (tier-1 makes one an
     error). The taped forward now computes the derivative, whose ``x * x``
     overflows at 1e308 there, silenced, as pdf is 0; the reference gradient
     overflows the same way."""
-    _check(FINITE_EDGES, taped, grad_errstate={"over": "ignore"})
+    _check(FINITE_EDGES, mode, grad_errstate={"over": "ignore"})
 
 
-@pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
-def test_gelu_infinities_and_nan(block_bytes, taped):
+@pytest.mark.parametrize("mode", MODES)
+def test_gelu_infinities_and_nan(block_bytes, mode):
     """``gelu(inf) = inf``; ``gelu(-inf)`` is ``0 * -inf``, NaN, as before. A NaN
     input gives NaN out."""
     xs = np.concatenate([INF_EDGES, [np.nan, -np.nan], FINITE_EDGES])
     with np.errstate(over="ignore", invalid="ignore"):
-        _check(xs, taped)
+        _check(xs, mode)
         with no_grad():
             y = ops.gelu(Tensor(xs)).data
     assert y[0] == np.inf and np.isnan(y[1:4]).all()
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
-@pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
-def test_gelu_keeps_the_layout_of_the_formula(block_bytes, layout, taped):
+@pytest.mark.parametrize("mode", MODES)
+def test_gelu_keeps_the_layout_of_the_formula(block_bytes, layout, mode):
     """A non-C-contiguous input gives the strides ``x * INV_SQRT2`` gives, so no
     later BLAS call sees another layout."""
     xs = np.random.default_rng(2).standard_normal((3, 4, 5, 6)) * 4
     xs = {"C": xs, "F": np.asfortranarray(xs), "transposed": xs.transpose(0, 2, 3, 1)}[layout]
     assert (xs * ops.INV_SQRT2).strides == xs.strides
-    _check(xs, taped, g=np.random.default_rng(3).standard_normal(xs.shape))
+    _check(xs, mode, g=np.random.default_rng(3).standard_normal(xs.shape))
 
 
 def test_erf_is_odd_bitwise():

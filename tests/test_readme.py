@@ -16,11 +16,16 @@ def _quick_start_blocks():
 
 
 def test_quick_start_builds_s_at_448_and_counts_its_costs(capsys):
-    exec(_quick_start_blocks()[0], {})
+    namespace = {}
+    exec(_quick_start_blocks()[0], namespace)
     out = capsys.readouterr().out.splitlines()
     # the README's comments say ~34.6M parameters and ~4.9 GFLOPs
     assert re.fullmatch(r"34,6\d\d,\d\d\d parameters", out[0]), out
     assert re.fullmatch(r"4\.9\d GFLOPs", out[1]), out
+    # inference records no tape
+    logits = namespace["logits"]
+    assert logits.shape == (1, 1000)
+    assert not logits.requires_grad and logits._node is None
 
 
 def test_quick_start_trains_the_micro_variant():

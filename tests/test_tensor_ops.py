@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from hirivit.blocks import Conv2d
 from hirivit.engine import Tensor, backward, loop_conv2d, loop_linear, loop_matmul, no_grad, ops
 from hirivit.errors import ConfigError, ResolutionError, ShapeError
 
@@ -58,6 +59,19 @@ class TestConv2d:
     def test_resolution_underflow(self):
         with pytest.raises(ResolutionError):
             ops.conv2d(t(np.ones((1, 1, 2, 2))), t(np.ones((1, 1, 3, 3))))
+
+    @pytest.mark.parametrize("settings", [
+        {"groups": 0}, {"groups": -2}, {"stride": 0}, {"stride": (1, 0)}, {"stride": -1},
+        {"padding": -1}, {"padding": (0, -1)},
+    ], ids=["groups-0", "groups-neg", "stride-0", "stride-w-0", "stride-neg",
+            "padding-neg", "padding-w-neg"])
+    def test_bad_settings_are_config_errors(self, settings):
+        # before, groups=0 and stride=0 raised ZeroDivisionError, padding=-1 a
+        # NumPy broadcast ValueError, and the module constructed without error
+        with pytest.raises(ConfigError):
+            ops.conv2d(t(np.ones((1, 4, 6, 6))), t(np.ones((4, 4, 3, 3))), **settings)
+        with pytest.raises(ConfigError):
+            Conv2d(4, 4, 3, **settings)
 
     @pytest.mark.parametrize("xs, ws, groups", [
         ((4, 4, 32, 32), (4, 4, 3, 3), 1),     # 1.2 MB of patches in one block
