@@ -307,14 +307,15 @@ def make_norm2d(kind: str, channels: int) -> Module:
 
 
 class GELU(Module):
-    """``inplace`` as for :class:`BatchNorm2d`: a no-tape result may overwrite the input."""
+    """Exact-erf GELU whose no-tape result overwrites its input.
 
-    def __init__(self, inplace=False):
-        super().__init__()
-        self.inplace = inplace
+    Every GELU here follows a norm or linear layer whose fresh result
+    nothing else reads, so the grant of ``ops.gelu(inplace=True)`` always
+    holds; a caller that reads its input again must call ``ops.gelu``.
+    """
 
     def forward(self, x):
-        return ops.gelu(x, inplace=self.inplace)
+        return ops.gelu(x, inplace=True)
 
 
 class AvgPoolHalve(Module):
@@ -361,17 +362,17 @@ class HighResStem(Module):
         mid = cout // 2
         self.entry = Conv2d(cin, mid, 3, stride=2, bias=False)
         self.entry_norm = BatchNorm2d(mid, inplace=True)
-        self.entry_act = GELU(inplace=True)
+        self.entry_act = GELU()
         self.hi_dw = Conv2d(mid, mid, 3, groups=mid, bias=False)
         self.hi_norm = BatchNorm2d(mid, inplace=True)
-        self.hi_act = GELU(inplace=True)
+        self.hi_act = GELU()
         self.hi_down = Conv2d(mid, cout, 3, stride=2, bias=False)
         self.lo_down = Conv2d(mid, cout, 3, stride=2, bias=False)
         self.lo_norm1 = BatchNorm2d(cout, inplace=True)
-        self.lo_act1 = GELU(inplace=True)
+        self.lo_act1 = GELU()
         self.lo_expand = Conv2d(cout, 2 * cout, 3, bias=False)
         self.lo_norm2 = BatchNorm2d(2 * cout, inplace=True)
-        self.lo_act2 = GELU(inplace=True)
+        self.lo_act2 = GELU()
         self.lo_project = Conv2d(2 * cout, cout, 1, bias=False)
         self.out_norm = BatchNorm2d(cout, inplace=True)
 
@@ -405,7 +406,7 @@ class HighResBlock(Module):
         self.lo_dw = Conv2d(c, c, 3, stride=2, groups=c, bias=False)
         self.lo_norm = BatchNorm2d(c, inplace=True)
         self.lo_fc1 = Conv2d(c, e * c, 1)
-        self.lo_act = GELU(inplace=True)
+        self.lo_act = GELU()
         self.lo_fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
@@ -454,10 +455,10 @@ class DownsampleA(Module):
         self.pre_pool = pre_pool
         self.reduce = Conv2d(cin, mid, 3, stride=stride, bias=False)
         self.norm1 = BatchNorm2d(mid, inplace=True)
-        self.act1 = GELU(inplace=True)
+        self.act1 = GELU()
         self.project = Conv2d(mid, cout, 1, bias=False)
         self.norm2 = BatchNorm2d(cout, inplace=True)
-        self.act2 = GELU(inplace=True)
+        self.act2 = GELU()
         self.sc_pool = sc_pool
         self.sc_project = Conv2d(cin, cout, 1)
 
@@ -486,7 +487,7 @@ class DownsampleB(Module):
         self.pre_pool = pre_pool
         self.expand = Conv2d(cin, mid, 1, bias=False)
         self.norm1 = BatchNorm2d(mid, inplace=True)
-        self.act1 = GELU(inplace=True)
+        self.act1 = GELU()
         self.dw = Conv2d(mid, mid, 3, stride=stride, groups=mid)
         self.project = Conv2d(mid, cout, 1)
         self.sc_pool = sc_pool
@@ -527,7 +528,7 @@ class ConvFFNBlock(Module):
         c, e = channels, expansion
         self.pre_norm = make_norm2d(norm, c)
         self.fc1 = Conv2d(c, e * c, 1)
-        self.act = GELU(inplace=True)
+        self.act = GELU()
         self.dw = Conv2d(e * c, e * c, 3, groups=e * c)
         self.fc2 = Conv2d(e * c, c, 1)
 
@@ -545,7 +546,7 @@ class FFNBlock(Module):
         c, e = channels, expansion
         self.pre_norm = make_norm2d(norm, c)
         self.fc1 = Conv2d(c, e * c, 1)
-        self.act = GELU(inplace=True)
+        self.act = GELU()
         self.fc2 = Conv2d(e * c, c, 1)
 
     def forward(self, x):
@@ -656,7 +657,7 @@ class TransformerBlock(Module):
         self.ffn = ffn_cls(dim, expansion, norm=ffn_norm)
 
     def forward(self, x):
-        return self.ffn(ops.add(x, self.attn(self.attn_norm(x)), inplace=True))
+        return self.ffn(ops.add(x, self.attn(self.attn_norm(x))))
 
 
 class ClassifierHead(Module):
@@ -671,7 +672,7 @@ class ClassifierHead(Module):
         self.hidden = hidden
         if hidden:
             self.pre = Linear(cin, hidden)
-            self.act = GELU(inplace=True)
+            self.act = GELU()
             self.fc = Linear(hidden, num_classes)
         else:
             self.fc = Linear(cin, num_classes)
@@ -711,13 +712,13 @@ class ConvStem(Module):
         mid = cout // 2
         self.conv1 = Conv2d(cin, mid, 3, stride=2, bias=False)
         self.norm1 = BatchNorm2d(mid, inplace=True)
-        self.act1 = GELU(inplace=True)
+        self.act1 = GELU()
         self.conv2 = Conv2d(mid, mid, 3, bias=False)
         self.norm2 = BatchNorm2d(mid, inplace=True)
-        self.act2 = GELU(inplace=True)
+        self.act2 = GELU()
         self.conv3 = Conv2d(mid, cout, 3, stride=2, bias=False)
         self.norm3 = BatchNorm2d(cout, inplace=True)
-        self.act3 = GELU(inplace=True)
+        self.act3 = GELU()
         self.conv4 = Conv2d(cout, cout, 1, bias=False)
         self.norm4 = BatchNorm2d(cout, inplace=True)
 

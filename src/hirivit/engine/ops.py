@@ -178,7 +178,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float, inplace: bool = False) -> Tensor:
     """``a * s``; ``inplace`` grants writing a no-tape result into ``a``."""
-    data = np.multiply(a.data, s, out=a.data if inplace and _reusable(a, (a,)) else None)
+    reuse = inplace and _reusable(a, (a,), np.result_type(a.data, s))
+    data = np.multiply(a.data, s, out=a.data if reuse else None)
 
     def bw(g):
         return (g * s,)
@@ -596,7 +597,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xn = np.subtract(x.data, mean, out=xn)
     xn *= inv
     gd = gamma.data
-    data = xn * gd if records_tape((x, gamma, beta)) else np.multiply(xn, gd, out=xn)
+    # the tape keeps xn; without it xn may hold the result, if of its dtype
+    reuse = (not records_tape((x, gamma, beta))
+             and xn.dtype == np.result_type(xn, gd, beta.data))
+    data = np.multiply(xn, gd, out=xn if reuse else None)
     data += beta.data
 
     def bw(g):

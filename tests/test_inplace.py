@@ -137,21 +137,37 @@ def test_batch_norm_in_training_mode_keeps_its_input():
     assert x.data.tobytes() == XS.tobytes()
 
 
+@pytest.mark.parametrize("x_dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("layout", ["tokens", "channels-last view"])
 @pytest.mark.parametrize("taped", [False, True], ids=["no-grad", "taped"])
-def test_layer_norm_bitwise_equals_the_formula(layout, taped):
+def test_layer_norm_bitwise_equals_the_formula(layout, taped, x_dtype):
     """Without temporaries (the squared deviations share the result's buffer)
-    the values and the layout stay those of the formula, ``np.var``
-    included, on tokens and on LayerNorm2d's channels-last view of a map."""
+    the values, dtype and layout stay those of the formula, ``np.var``
+    included, on tokens and on LayerNorm2d's channels-last view of a map.
+    A float32 input with float64 affine weights gives a float64 result, so
+    its float32 deviations cannot hold it."""
     xs = XS.reshape(2, 30, 7) if layout == "tokens" else XS.transpose(0, 2, 3, 1)
+    xs = xs.astype(x_dtype)
     g, b = RNG.standard_normal(xs.shape[-1]), RNG.standard_normal(xs.shape[-1])
     ref = _layer_norm(xs, g, b)
+    x = Tensor(xs, requires_grad=taped)
     if taped:
-        y = ops.layer_norm(t(xs, True), t(g, True), t(b, True))
+        y = ops.layer_norm(x, t(g, True), t(b, True))
     else:
         with no_grad():
-            y = ops.layer_norm(t(xs), t(g), t(b))
+            y = ops.layer_norm(x, t(g), t(b))
+    assert y.data.dtype == ref.dtype
     assert y.data.tobytes() == ref.tobytes() and y.data.strides == ref.strides
+
+
+def test_scale_keeps_the_dtype_of_a_times_s():
+    """A float64 factor promotes a float32 input, so it gets a new array."""
+    xs = XS.astype(np.float32)
+    with no_grad():
+        y = ops.scale(Tensor(xs), np.float64(0.37), inplace=True)
+    ref = xs * np.float64(0.37)
+    assert y.data.dtype == ref.dtype == np.float64
+    assert y.data.tobytes() == ref.tobytes() and not np.shares_memory(y.data, xs)
 
 
 # ---------------------------------------------------------------------------
