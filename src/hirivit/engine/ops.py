@@ -12,21 +12,24 @@ Conventions
   built, so it is read back from cache, not from memory. A block whose
   patch matrix exceeds ``CONV_PATCH_CAP`` (an ungrouped conv, or one large
   depthwise group) is built and multiplied in blocks of whole output rows,
-  written into the preallocated output. So the working set of a forward
-  conv is its padded input, its output and at most the cap, not the
-  kh*kw-fold im2col expansion. Backward rebuilds the patch matrix in blocks
-  of whole groups and forms the weight gradient as the same GEMMs of ``g``
-  against it, summed over the batch; splitting it by rows would reorder
-  its sums over output positions. For stride 1 the input gradient is the
-  forward kernel, row blocks included, applied to ``g`` with the flipped,
-  channel-transposed kernel at padding ``k - 1 - p``; strided convs
-  scatter-add the column gradient one kernel tap at a time. An input that
-  does not require grad gets none. Blocks of groups change no GEMM. A row
-  block only cuts a GEMM's columns, at multiples of 16, and stays on the
-  GEMM path of the whole map (see ``_row_bounds``), so outputs and
-  gradients are bitwise equal to one-block runs (checked on OpenBLAS
-  0.3.31's SkylakeX kernels), and results do not depend on either block
-  size.
+  written into the preallocated output. No whole-map padded copy is made:
+  each block zero-pads only its own channels and the input rows it reads
+  (``_patches``). So the working set of a forward conv is its input, its
+  output, at most the cap of patches and one block's padded rows, not the
+  kh*kw-fold im2col expansion. Backward rebuilds the patch matrix in
+  blocks of whole groups and forms the weight gradient as the same GEMMs
+  of ``g`` against it, summed over the batch; splitting it by rows would
+  reorder its sums over output positions. For stride 1 the input gradient
+  is the forward kernel, row blocks included, applied to ``g`` with the
+  flipped, channel-transposed kernel at padding ``k - 1 - p``; strided
+  convs scatter-add the column gradient one kernel tap at a time, each
+  tap clipped to the input, into the C-contiguous input gradient. An
+  input that does not require grad gets none. Blocks of groups change no
+  GEMM. A row block only cuts a GEMM's columns, at multiples of 16, and
+  stays on the GEMM path of the whole map (see ``_row_bounds``), so
+  outputs and gradients are bitwise equal to one-block runs (checked on
+  OpenBLAS 0.3.31's SkylakeX kernels), and results do not depend on
+  either block size.
 * ``gelu`` runs SciPy's ``erf`` on ``|x / sqrt(2)|`` and restores the sign
   with ``copysign``. SciPy's ``erf`` computes ``erf(-t)`` as ``-erf(t)``, so
   the bits are those of ``erf(x / sqrt(2))``, but no element takes the
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -81,8 +85,9 @@ CONV_BLOCK_BYTES = 1 << 19
 # in blocks of whole output rows, so the cap, not the im2col expansion, bounds
 # the working set. In a 256 KB-8 MB sweep over the dense convs and the stem's
 # depthwise conv of HiRI-ViT-S@448, 1-4 MB ran them as fast as one block or
-# faster and 512 KB and below ran the dense ones slower; the S@448 forward's
-# activation peak was 25.7 MB at 2 MB, 26.7 MB at 4 MB and 51.5 MB unbounded.
+# faster and 512 KB and below ran the dense ones slower. With each block padded
+# on its own, the S@448 forward's activation peak (tracemalloc, batch 1) is
+# 16.8 MB at 1 MB, 18.2 MB at 2 MB, 20.3 MB at 4 MB and 43.0 MB unbounded.
 CONV_PATCH_CAP = 2 << 20
 
 
@@ -318,27 +323,28 @@ def _conv_out_hw(h, w, kh, kw, sh, sw, ph, pw):
     return oh, ow
 
 
-def _pad(x, ph, pw):
-    """Zero-pad the two spatial axes of an NCHW array (np.pad is slower)."""
-    if not (ph or pw):
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = x
-    return xp
+class _Windows(NamedTuple):
+    """A conv's windows over its unpadded input ``x``.
+
+    ``shape`` is that of the ``(N, g, cing, kh, kw, OH, OW)`` window view of
+    the zero-padded input, which is never built: :func:`_patches` pads one
+    block at a time.
+    """
+
+    x: np.ndarray
+    stride: tuple
+    padding: tuple
+    shape: tuple
+
+    @property
+    def itemsize(self) -> int:
+        return self.x.itemsize
 
 
 def _windows(x, kh, kw, stride, padding, groups):
-    """(N, g, cing, kh, kw, OH, OW) window view of the zero-padded input."""
-    xp = _pad(x, *padding)
-    n, cin, hp, wp = xp.shape
-    sh, sw = stride
-    oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
-    cing = cin // groups
-    s0, s1, s2, s3 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (n, groups, cing, kh, kw, oh, ow),
-        (s0, s1 * cing, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
+    n, cin, h, w = x.shape
+    oh, ow = _conv_out_hw(h, w, kh, kw, *stride, *padding)
+    return _Windows(x, stride, padding, (n, groups, cin // groups, kh, kw, oh, ow))
 
 
 def _row_bounds(win, groups_per_block, coutg):
@@ -388,11 +394,31 @@ def _blocks(win, coutg=None):
 def _patches(win, g0, g1, r0, r1):
     """The ``(N, g1 - g0, cing*kh*kw, (r1 - r0)*OW)`` patch matrix of a block.
 
-    A 1x1 stride-1 conv without padding gets a view of its input, not a copy.
+    Only the block is zero-padded: its channels, and the input rows that its
+    output rows read, halo included, go into a buffer of the padded rows
+    and columns its windows span. A block that reads no padding views its
+    input instead, so a 1x1 stride-1 conv without padding on a C-contiguous
+    input gets a view, not a copy.
     """
     n, _, cing, kh, kw, _, ow = win.shape
-    cols = win[:, g0:g1, ..., r0:r1, :].reshape(n, g1 - g0, cing * kh * kw, (r1 - r0) * ow)
-    return np.ascontiguousarray(cols)
+    (sh, sw), (ph, pw) = win.stride, win.padding
+    x = win.x[:, g0 * cing:g1 * cing]
+    h, w = x.shape[2:]
+    # the block reads padded rows [r0*sh, (r1-1)*sh + kh) and padded columns
+    # [0, (ow-1)*sw + kw); top, bottom and right are in input coordinates
+    top, bottom, right = r0 * sh - ph, (r1 - 1) * sh + kh - ph, (ow - 1) * sw + kw - pw
+    if top >= 0 and bottom <= h and not pw:
+        src = x[:, :, top:bottom, :right]
+    else:
+        src = np.zeros((n, x.shape[1], bottom - top, right + pw), dtype=x.dtype)
+        i0 = max(top, 0)
+        i1, j1 = max(min(bottom, h), i0), max(min(right, w), 0)
+        src[:, :, i0 - top:i1 - top, pw:pw + j1] = x[:, :, i0:i1, :j1]
+    s0, s1, s2, s3 = src.strides
+    cols = np.lib.stride_tricks.as_strided(
+        src, (n, g1 - g0, cing, kh, kw, r1 - r0, ow),
+        (s0, s1 * cing, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
+    return np.ascontiguousarray(cols.reshape(n, g1 - g0, cing * kh * kw, (r1 - r0) * ow))
 
 
 def _group_blocks(win):
@@ -419,6 +445,20 @@ def _conv2d_fast(x, w, bias, stride, padding, groups):
     if bias is not None:
         out += bias.reshape(1, cout, 1, 1)
     return out
+
+
+def _taps(k, s, p, n_out, n_in):
+    """``(i, output slice, input slice)`` along one axis for each kernel tap
+    ``i`` that reads the input: the output positions ``o`` whose input
+    position ``o*s + i - p`` lies in ``[0, n_in)``, and those positions."""
+    taps = []
+    for i in range(k):
+        o0 = max(0, -((i - p) // s))
+        o1 = min(n_out, (n_in - 1 + p - i) // s + 1)
+        if o1 > o0:
+            x0 = o0 * s + i - p
+            taps.append((i, slice(o0, o1), slice(x0, x0 + (o1 - o0 - 1) * s + 1, s)))
+    return taps
 
 
 def _conv2d_input_grad(g, w, padding, groups):
@@ -478,33 +518,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def bw(g):
         # One pass over blocks of groups: the weight gradient is g times the
         # forward's patch matrix, rebuilt; a strided conv's input gradient
-        # scatter-adds each kernel tap's column gradient. Stride-1 input
+        # scatter-adds each kernel tap's column gradient, clipped to the
+        # input, straight into a C-contiguous array. Stride-1 input
         # gradients run the forward kernel instead.
         win = _windows(xd, kh, kw, stride, padding, groups)
         g4 = g.reshape(n, groups, coutg, oh * ow)
         gw = np.empty((groups, coutg, cing * kh * kw), dtype=g.dtype)
         scatter = x_grad and (sh, sw) != (1, 1)
+        gx = None
         if scatter:
             w2t = np.swapaxes(wd.reshape(groups, coutg, cing * kh * kw), -1, -2)
-            gxp = np.zeros((n, cin, h + 2 * ph, w_in + 2 * pw), dtype=g.dtype)
+            gx = np.zeros((n, cin, h, w_in), dtype=g.dtype)
+            row_taps, col_taps = _taps(kh, sh, ph, oh, h), _taps(kw, sw, pw, ow, w_in)
         for g0, g1, cols in _group_blocks(win):
             np.matmul(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
             if scatter:
                 gcols = np.matmul(w2t[g0:g1], g4[:, g0:g1])  # (N, gb, cing*kh*kw, L)
                 gcols = gcols.reshape(n, (g1 - g0) * cing, kh, kw, oh, ow)
-                gxb = gxp[:, g0 * cing:g1 * cing]
-                for i in range(kh):
-                    hi = i + sh * oh
-                    for j in range(kw):
-                        wj = j + sw * ow
-                        gxb[:, :, i:hi:sh, j:wj:sw] += gcols[:, :, i, j]
+                gxb = gx[:, g0 * cing:g1 * cing]
+                for i, oi, xi in row_taps:
+                    for j, oj, xj in col_taps:
+                        gxb[:, :, xi, xj] += gcols[:, :, i, j, oi, oj]
         gw = gw.reshape(cout, cing, kh, kw)
-        if scatter:
-            gx = gxp[:, :, ph:ph + h, pw:pw + w_in] if (ph or pw) else gxp
-        elif x_grad:
+        if x_grad and not scatter:
             gx = _conv2d_input_grad(g, wd, padding, groups)
-        else:
-            gx = None
         if not has_bias:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))

@@ -253,7 +253,7 @@ def test_ladder_row1_eval_holds_one_hidden_map(peak_bytes):
 
 def test_micro_eval_frees_the_stem_map_after_both_branches(peak_bytes):
     """The micro build at 128x128, batch 16. At 64x64 its peak is the entry
-    conv's padded input and patches, which no grant moves. Here it sits in
+    conv's input and patch blocks, which no grant moves. Here it sits in
     the stem's ``lo_expand`` conv; the allocating forward still held the
     half-resolution map ``e`` and the BN/GELU copies of the low branch
     there: 16.9 MB, 2.7 times the input, against 14.8 MB now."""
