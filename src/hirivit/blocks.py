@@ -9,6 +9,11 @@ in ``forward(x)``. Two views derive from it:
   (see :meth:`Module.trace`);
 * the registry -- the attributes: a ``Tensor`` that requires grad is a
   parameter, any other ``Tensor`` a buffer, a ``Module`` a child.
+
+Without a tape, the feed-forward blocks (``FFNBlock``, ``ConvFFNBlock``) run
+their chain over bands of whole rows of a large map (``ops.row_bands``), so
+an observer sees one call of each part per band. A tape, and the empty batch
+that ``trace`` runs, give one pass, so the cost records are one pass's.
 """
 
 from __future__ import annotations
@@ -516,11 +521,47 @@ class PlainDownsample(Module):
         return self.norm(self.conv(x))
 
 
+def _bands(block, x, alive):
+    """Row boundaries of a feed-forward ``block``'s bands over ``x``:
+    :func:`ops.row_bands` under ``ops.FFN_BAND_BYTES`` for the ``alive`` bands
+    of its hidden map that it holds at once."""
+    n, c, h, w = x.shape
+    weight = block.fc1.weight
+    hidden_row = n * weight.shape[0] * w * np.result_type(x.data, weight.data).itemsize
+    return ops.row_bands(h, w, alive * hidden_row, ops.FFN_BAND_BYTES, weight.shape[0] * c,
+                         tape=_tensor.records_tape((x, weight)))
+
+
+def _rows(x, r0, r1):
+    return Tensor(x.data[:, :, r0:r1])
+
+
+def _stitch(x, bands):
+    """One map of ``x``'s shape from ``(r0, r1, result)``: each band's rows."""
+    out = None
+    for r0, r1, y in bands:
+        if out is None:
+            out = np.empty(x.shape, y.dtype)
+        out[:, :, r0:r1] = y.data
+    return Tensor(out, op="add")
+
+
 class ConvFFNBlock(Module):
     """Residual convolutional feed-forward block.
 
     Pre-normalized; hidden = act(1x1 expand), then a residual depth-wise
     3x3 over the hidden map, then 1x1 projection back: out = x + FC2(DW(z) + z).
+
+    Without a tape, a hidden map above ``ops.FFN_BAND_BYTES`` is never built
+    whole: the chain runs over bands of whole rows (:func:`ops.row_bands`),
+    each written into one output map, so an observer sees the chain's calls
+    once per band. A band's depth-wise conv runs on its own hidden rows, so
+    its rows next to a cut first read the conv's zero padding. Those rows are
+    then mended: the next band's hidden rows are computed (one band of
+    lookahead, so at most two bands of the hidden map are alive), and one more
+    call of the conv per cut runs on the two hidden rows on each side of it,
+    which gives the true values of the two rows next to it. Every output is
+    bitwise that of one pass.
     """
 
     def __init__(self, channels, expansion, norm="bn"):
@@ -532,14 +573,62 @@ class ConvFFNBlock(Module):
         self.dw = Conv2d(e * c, e * c, 3, groups=e * c)
         self.fc2 = Conv2d(e * c, c, 1)
 
-    def forward(self, x):
-        z = self.act(self.fc1(self.pre_norm(x)))
-        z = ops.add(self.dw(z), z, inplace=True)
+    def _hidden(self, x):
+        return self.act(self.fc1(self.pre_norm(x)))
+
+    def _project(self, x, z):
         return ops.add(x, self.fc2(z), inplace=True)
+
+    def forward(self, x):
+        bounds = _bands(self, x, 2)      # a band and its lookahead
+        if len(bounds) == 2:
+            z = self._hidden(x)
+            return self._project(x, ops.add(self.dw(z), z, inplace=True))
+        return _stitch(x, self._banded(x, list(zip(bounds, bounds[1:]))))
+
+    def _banded(self, x, spans):
+        """Yield ``(r0, r1, output)`` for each band of output rows."""
+        ahead, above = self._hidden(_rows(x, *spans[0])), None
+        for i, (r0, r1) in enumerate(spans):
+            z, rb = ahead, r1 - r0
+            # the hidden rows a mend reads, kept from before the residual
+            keep = sorted({0, max(rb - 2, 0), rb - 1})
+            near = dict(zip(keep, np.split(z.data[:, :, keep], len(keep), axis=2)))
+            z = ops.add(self.dw(z), z, inplace=True)
+            if i:                       # row 0 with its conv from the cut above
+                np.add(first, near[0][:, :, 0], out=z.data[:, :, 0])
+            ahead = self._hidden(_rows(x, *spans[i + 1])) if i + 1 < len(spans) else None
+            if ahead is not None:
+                first = self._mend(z.data, near.get(rb - 2, above), near[rb - 1], ahead.data)
+            above = near[rb - 1]
+            yield r0, r1, self._project(_rows(x, r0, r1), z)
+
+    def _mend(self, z, up, last, below):
+        """Redo ``z = dw(z) + z`` on the last row of band ``z`` across its cut,
+        and return the conv of the first row of the band ``below``.
+
+        ``last`` and ``up`` are band ``z``'s last two hidden rows before the
+        residual (``up`` is ``None`` above the map's top: zero padding). The
+        conv runs on ``up``, ``last`` and the first two rows of ``below``:
+        four rows, or three when ``below`` has one row, which only a width
+        that 16 divides allows. So its matrix-vector products have a multiple
+        of 4 columns and no ragged tail, which OpenBLAS sums on another path.
+        After a one-row ``below`` the conv reads zero padding, right only if
+        ``below`` is the last band; otherwise its row, also its last, is
+        mended again at its own cut.
+        """
+        rows = [np.zeros_like(last) if up is None else up, last, below[:, :, :2]]
+        e = self.dw(Tensor(np.concatenate(rows, axis=2))).data
+        np.add(e[:, :, 1], last[:, :, 0], out=z[:, :, -1])
+        return e[:, :, 2].copy()
 
 
 class FFNBlock(Module):
-    """Residual position-wise feed-forward block (no depth-wise conv)."""
+    """Residual position-wise feed-forward block (no depth-wise conv).
+
+    Without a tape, a hidden map above ``ops.FFN_BAND_BYTES`` is never built
+    whole: the chain runs over bands of whole rows (see :class:`ConvFFNBlock`).
+    """
 
     def __init__(self, channels, expansion, norm="ln"):
         super().__init__()
@@ -549,9 +638,16 @@ class FFNBlock(Module):
         self.act = GELU()
         self.fc2 = Conv2d(e * c, c, 1)
 
-    def forward(self, x):
+    def _chain(self, x):
         y = self.fc2(self.act(self.fc1(self.pre_norm(x))))
         return ops.add(x, y, inplace=True)
+
+    def forward(self, x):
+        bounds = _bands(self, x, 1)
+        if len(bounds) == 2:
+            return self._chain(x)
+        return _stitch(x, ((r0, r1, self._chain(_rows(x, r0, r1)))
+                           for r0, r1 in zip(bounds, bounds[1:])))
 
 
 def _tokens(x_map):

@@ -30,6 +30,14 @@ Conventions
   outputs and gradients are bitwise equal to one-block runs (checked on
   OpenBLAS 0.3.31's SkylakeX kernels), and results do not depend on
   either block size.
+* One rule, :func:`row_bands`, cuts a map into bands of whole rows, both the
+  conv's row blocks and the bands in which the no-tape feed-forward blocks
+  (``blocks.FFNBlock``, ``blocks.ConvFFNBlock``) run their whole chain, so
+  that their wide hidden map never exists whole (``FFN_BAND_BYTES``). Cuts
+  fall on multiples of 16 columns and keep every GEMM of a band on the whole
+  map's BLAS path; a tape, an empty batch or a map whose size is no multiple
+  of 16 gives one pass. So bands change no bit, and the analyzer's
+  empty-batch trace records what one pass records.
 * ``gelu`` runs SciPy's ``erf`` on ``|x / sqrt(2)|`` and restores the sign
   with ``copysign``. SciPy's ``erf`` computes ``erf(-t)`` as ``-erf(t)``, so
   the bits are those of ``erf(x / sqrt(2))``, but no element takes the
@@ -89,6 +97,17 @@ CONV_BLOCK_BYTES = 1 << 19
 # on its own, the S@448 forward's activation peak (tracemalloc, batch 1) is
 # 16.8 MB at 1 MB, 18.2 MB at 2 MB, 20.3 MB at 4 MB and 43.0 MB unbounded.
 CONV_PATCH_CAP = 2 << 20
+# Bytes of the hidden map that a no-tape feed-forward block holds at once when
+# it runs in row bands (``blocks.FFNBlock`` one band, ``blocks.ConvFFNBlock`` a
+# band and its lookahead; see :func:`row_bands`). Narrower GEMMs run slower:
+# in a 2-16 MB sweep of the ladder-row-1@224 eval forward (60 interleaved
+# pairs against one pass, 2 CPUs, OpenBLAS at 2 threads) the median forward
+# cost +5.4, +6.7, +5.0, +1.9, +2.5 and +0.3% at 2, 3, 4, 5, 6 and 8 MB. 5
+# and 6 MB give that model the same bands, within 3%; 6 MB gives the stage-3
+# blocks of HiRI-ViT-S two bands instead of three. Its tracemalloc eval peak
+# is 11.6 MB for ladder row 1@224 and 15.0 MB for row 4@224, against 18.4 and
+# 34.2 MB in one pass; 8 MB would leave row 1 two 6.4 MB bands (13.9 MB).
+FFN_BAND_BYTES = 6 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +366,39 @@ def _windows(x, kh, kw, stride, padding, groups):
     return _Windows(x, stride, padding, (n, groups, cin // groups, kh, kw, oh, ow))
 
 
-def _row_bounds(win, groups_per_block, coutg):
-    """Output-row boundaries of the forward blocks of ``groups_per_block`` groups.
+def row_bands(rows, cols, row_bytes, cap, col_macs=0, tape=False):
+    """Boundaries ``[0, ..., rows]`` of bands of whole rows of a ``rows x cols``
+    map, ``row_bytes`` a row, for a no-tape chain whose GEMMs cut only columns.
 
-    One block when its patch matrix fits ``CONV_PATCH_CAP``. Otherwise the
-    fewest blocks that fit, as even as steps of ``unit`` rows allow; a step
-    is a multiple of 16 output columns, so each column meets the same BLAS
-    kernel tiles as in one GEMM. A map whose size is no multiple of 16 stays
-    whole. Each block also stays on the GEMM path of the whole map: OpenBLAS
-    runs GEMMs of at most 100**3 MACs on a small-matrix kernel, which sums a
-    long contraction in another order. (``coutg == 1`` is a matrix-vector
-    product, with one path.)
+    One band under a tape, for an empty batch (no bytes), when the map fits
+    ``cap``, or when ``rows * cols`` is no multiple of 16. Otherwise the fewest
+    bands that fit, as even as steps of ``unit`` rows allow; a step is a
+    multiple of 16 columns, so each column meets the same BLAS kernel tiles as
+    in one GEMM of the whole map. Each band also stays on the whole map's
+    GEMM path: OpenBLAS runs GEMMs of at most 100**3 MACs on a small-matrix
+    kernel, which sums a long contraction in another order. ``col_macs`` is
+    the MACs of one column of the band's smallest GEMM; 0 when it has none
+    (a matrix-vector product has one path).
     """
+    if tape or rows * row_bytes <= cap or (rows * cols) % 16:
+        return [0, rows]
+    unit = 16 // math.gcd(cols, 16)         # divides rows, as 16 divides rows * cols
+    units = rows // unit
+    bands = -(-units // max(1, cap // (unit * row_bytes)))
+    unit_macs = col_macs * cols * unit
+    if col_macs and units * unit_macs > 100**3:
+        bands = min(bands, units // (100**3 // unit_macs + 1))
+    return [unit * (units * i // bands) for i in range(bands + 1)]
+
+
+def _row_bounds(win, groups_per_block, coutg):
+    """Output-row boundaries of the forward blocks of ``groups_per_block``
+    groups: :func:`row_bands` of their patch matrix under ``CONV_PATCH_CAP``,
+    whose GEMMs have ``coutg`` rows."""
     n, _, cing, kh, kw, oh, ow = win.shape
     k = cing * kh * kw
-    row_bytes = n * groups_per_block * k * ow * win.itemsize
-    if oh * row_bytes <= CONV_PATCH_CAP or (oh * ow) % 16:
-        return [0, oh]
-    unit = 16 // math.gcd(ow, 16)           # divides oh, as 16 divides oh * ow
-    units = oh // unit
-    blocks = -(-units // max(1, CONV_PATCH_CAP // (unit * row_bytes)))
-    unit_macs = coutg * k * ow * unit       # of one GEMM
-    if coutg > 1 and units * unit_macs > 100**3:
-        blocks = min(blocks, units // (100**3 // unit_macs + 1))
-    return [unit * (units * i // blocks) for i in range(blocks + 1)]
+    return row_bands(oh, ow, n * groups_per_block * k * ow * win.itemsize,
+                     CONV_PATCH_CAP, coutg * k if coutg > 1 else 0)
 
 
 def _blocks(win, coutg=None):
@@ -398,7 +426,10 @@ def _patches(win, g0, g1, r0, r1):
     output rows read, halo included, go into a buffer of the padded rows
     and columns its windows span. A block that reads no padding views its
     input instead, so a 1x1 stride-1 conv without padding on a C-contiguous
-    input gets a view, not a copy.
+    input gets a view, not a copy. The read-only window view is built with
+    ``np.ndarray`` over the C-contiguous array the block's source is cut from
+    (the padded buffer, or the input), several times cheaper a call than
+    ``as_strided``, which it falls back to for any other input.
     """
     n, _, cing, kh, kw, _, ow = win.shape
     (sh, sw), (ph, pw) = win.stride, win.padding
@@ -409,15 +440,21 @@ def _patches(win, g0, g1, r0, r1):
     top, bottom, right = r0 * sh - ph, (r1 - 1) * sh + kh - ph, (ow - 1) * sw + kw - pw
     if top >= 0 and bottom <= h and not pw:
         src = x[:, :, top:bottom, :right]
+        owner, offset = win.x, g0 * cing * x.strides[1] + top * x.strides[2]
     else:
         src = np.zeros((n, x.shape[1], bottom - top, right + pw), dtype=x.dtype)
         i0 = max(top, 0)
         i1, j1 = max(min(bottom, h), i0), max(min(right, w), 0)
         src[:, :, i0 - top:i1 - top, pw:pw + j1] = x[:, :, i0:i1, :j1]
+        owner, offset = src, 0
     s0, s1, s2, s3 = src.strides
-    cols = np.lib.stride_tricks.as_strided(
-        src, (n, g1 - g0, cing, kh, kw, r1 - r0, ow),
-        (s0, s1 * cing, s1, s2, s3, s2 * sh, s3 * sw), writeable=False)
+    shape = (n, g1 - g0, cing, kh, kw, r1 - r0, ow)
+    strides = (s0, s1 * cing, s1, s2, s3, s2 * sh, s3 * sw)
+    if owner.flags.c_contiguous and owner.size:
+        cols = np.ndarray(shape, src.dtype, owner, offset, strides)
+        cols.flags.writeable = False
+    else:
+        cols = np.lib.stride_tricks.as_strided(src, shape, strides, writeable=False)
     return np.ascontiguousarray(cols.reshape(n, g1 - g0, cing * kh * kw, (r1 - r0) * ow))
 
 

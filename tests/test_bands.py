@@ -1,0 +1,223 @@
+"""No-tape feed-forward blocks run in row bands.
+
+Without a tape, ``FFNBlock`` and ``ConvFFNBlock`` run their chain over bands
+of whole rows (``ops.row_bands``) whenever the hidden map exceeds
+``ops.FFN_BAND_BYTES``, so the wide hidden map never exists whole. Every
+output must be bitwise that of one pass, the cost records must not move, and
+the eval activation peak must fall below one hidden map.
+"""
+
+import numpy as np
+import pytest
+
+from hirivit import blocks
+from hirivit.analyzer import count_flops
+from hirivit.engine import Tensor, no_grad, observe, ops
+from hirivit.zoo import Model, hiri_micro_config, mvit_config
+
+ONE_PASS = 1 << 62
+
+
+def _block(kind, channels, expansion, norm, seed=0):
+    cls = blocks.FFNBlock if kind == "ffn" else blocks.ConvFFNBlock
+    block = cls(channels, expansion, norm=norm).eval()
+    rng = np.random.default_rng(seed)
+    for _, t, _ in block.named_entries():
+        t.data[...] = rng.standard_normal(t.shape) * 0.2
+    if norm == "bn":
+        block.pre_norm.running_var.data[...] = rng.uniform(0.5, 2.0, channels)
+    return block
+
+
+def _alive(block):
+    return 2 if isinstance(block, blocks.ConvFFNBlock) else 1
+
+
+def _forward(block, x, cap, monkeypatch):
+    monkeypatch.setattr(ops, "FFN_BAND_BYTES", cap)
+    with no_grad():
+        bounds = blocks._bands(block, Tensor(x), _alive(block))
+        return block(Tensor(x)).data, bounds
+
+
+def _cap(block, x, units_per_band):
+    """The bound that gives bands of ``units_per_band`` units of rows."""
+    n, c, h, w = x.shape
+    unit = 16 // np.gcd(w, 16)
+    hidden_row = n * block.fc1.weight.shape[0] * w * 8
+    return units_per_band * unit * _alive(block) * hidden_row
+
+
+# ---------------------------------------------------------------------------
+# bitwise: banded against one pass
+# ---------------------------------------------------------------------------
+
+# (batch, channels, expansion, height, width, units per band, bands)
+SHAPES = {
+    "w56_two_bands": (1, 64, 4, 56, 56, 14, 2),
+    "w56_many_bands": (1, 64, 4, 56, 56, 3, 10),
+    "w56_batch3": (3, 32, 4, 56, 56, 4, 7),
+    "w28_two_bands": (1, 64, 4, 28, 28, 4, 2),
+    "w28_batch3_many": (3, 64, 4, 28, 28, 1, 7),
+    "w14_one_unit_bands": (1, 96, 4, 32, 14, 1, 4),
+    "w14_batch3_first_one_unit": (3, 64, 4, 24, 14, 2, 2),
+    "w16_one_row_bands": (1, 128, 4, 16, 16, 1, 16),
+    "w16_small_gemms": (1, 8, 4, 16, 16, 1, 16),
+    "w1_column_map": (1, 128, 4, 64, 1, 1, 4),
+}
+CASES = [(kind, norm, shape) for kind in ("ffn", "cffn") for norm in ("ln", "bn")
+         for shape in SHAPES]
+
+
+@pytest.mark.parametrize("kind,norm,shape", CASES)
+def test_banded_forward_is_bitwise_one_pass(kind, norm, shape, monkeypatch):
+    n, c, e, h, w, units, bands = SHAPES[shape]
+    block = _block(kind, c, e, norm)
+    x = np.random.default_rng(1).standard_normal((n, c, h, w))
+    whole, one = _forward(block, x, ONE_PASS, monkeypatch)
+    banded, bounds = _forward(block, x, _cap(block, x, units), monkeypatch)
+    assert one == [0, h]
+    assert len(bounds) - 1 == bands, bounds
+    assert banded.shape == whole.shape and banded.flags.c_contiguous
+    assert banded.tobytes() == whole.tobytes()
+
+
+def test_model_logits_are_bitwise_one_pass(monkeypatch):
+    """Ladder row 4 at 64x64: ConvFFN stages banded from the first stage on."""
+    model = Model(mvit_config(4, 64)).eval()
+    rng = np.random.default_rng(3)
+    for path, t, _ in model.named_entries():
+        t.data[...] = (rng.uniform(0.5, 2.0, t.shape) if path.endswith("running_var")
+                       else rng.standard_normal(t.shape) * 0.1)
+    x = rng.standard_normal((2, 3, 64, 64))
+    monkeypatch.setattr(ops, "FFN_BAND_BYTES", ONE_PASS)
+    with no_grad():
+        whole = model(Tensor(x)).data
+    monkeypatch.setattr(ops, "FFN_BAND_BYTES", 1)
+    first = dict(model.named_modules())["stage1.block1"]
+    with no_grad():
+        assert len(blocks._bands(first, Tensor(np.empty((2, 64, 16, 16))), 2)) > 2
+        banded = model(Tensor(x)).data
+    assert banded.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ffn", "cffn"])
+def test_banded_forward_keeps_its_input(kind, monkeypatch):
+    block = _block(kind, 64, 4, "bn")
+    x = np.random.default_rng(4).standard_normal((1, 64, 28, 28))
+    keep = x.copy()
+    _, bounds = _forward(block, x, _cap(block, x, 1), monkeypatch)
+    assert len(bounds) > 2
+    assert x.tobytes() == keep.tobytes()
+
+
+def test_observer_sees_one_call_per_band(monkeypatch):
+    block = _block("ffn", 64, 4, "ln")
+    x = np.random.default_rng(5).standard_normal((1, 64, 28, 28))
+    monkeypatch.setattr(ops, "FFN_BAND_BYTES", _cap(block, x, 2))
+
+    class Calls:
+        def __init__(self):
+            self.modules = []
+
+        def call(self, module, t):
+            self.modules.append(module)
+            return module.forward(t)
+
+        def on_result(self, out, k):
+            pass
+
+    with no_grad(), observe(Calls()) as seen:
+        block(Tensor(x))
+    assert seen.modules.count(block) == 1
+    assert seen.modules.count(block.fc1) == 4 == seen.modules.count(block.fc2)
+
+
+def test_taped_forward_is_one_pass(monkeypatch):
+    block = _block("cffn", 64, 4, "bn")
+    x = Tensor(np.random.default_rng(6).standard_normal((1, 64, 28, 28)))
+    monkeypatch.setattr(ops, "FFN_BAND_BYTES", 1)
+    assert blocks._bands(block, x, 2) == [0, 28]
+    with no_grad():
+        assert len(blocks._bands(block, x, 2)) > 2
+
+
+# ---------------------------------------------------------------------------
+# the cut rule, as a pure function
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,cols,row_bytes,cap,col_macs", [
+    (56, 56, 1000, 10_000, 0),
+    (56, 56, 1000, 10_000, 32768),
+    (56, 56, 1000, 10_000, 64),
+    (28, 28, 999, 4_000, 4096),
+    (32, 14, 500, 600, 0),
+    (16, 16, 10, 11, 0),
+    (112, 112, 7000, 1 << 20, 65536),
+])
+def test_row_bands_cover_the_map_on_16_column_cuts(rows, cols, row_bytes, cap, col_macs):
+    bounds = ops.row_bands(rows, cols, row_bytes, cap, col_macs)
+    assert bounds[0] == 0 and bounds[-1] == rows
+    sizes = np.diff(bounds)
+    assert (sizes > 0).all()
+    assert all(r * cols % 16 == 0 for r in bounds)
+    unit = 16 // np.gcd(cols, 16)
+    if col_macs and rows * cols * col_macs > 100**3:
+        assert all(s * cols * col_macs > 100**3 for s in sizes)
+    else:                       # the fewest bands that fit, where a unit fits
+        assert len(bounds) - 1 == -(-(rows // unit) // max(1, cap // (unit * row_bytes)))
+        if unit * row_bytes <= cap:
+            assert all(s * row_bytes <= cap for s in sizes)
+
+
+@pytest.mark.parametrize("rows,cols,row_bytes,tape", [
+    (56, 56, 1000, True),       # a tape
+    (56, 56, 0, False),         # an empty batch
+    (56, 56, 10, False),        # a map under the bound
+    (14, 14, 1000, False),      # 196 positions: no multiple of 16
+])
+def test_row_bands_one_pass(rows, cols, row_bytes, tape):
+    assert ops.row_bands(rows, cols, row_bytes, 5_000, 0, tape=tape) == [0, rows]
+
+
+def test_conv_row_blocks_follow_the_same_rule():
+    x = np.zeros((2, 8, 56, 56))
+    win = ops._windows(x, 3, 3, (1, 1), (1, 1), 1)
+    k = 8 * 9
+    assert ops._row_bounds(win, 1, 16) == ops.row_bands(
+        56, 56, 2 * k * 56 * 8, ops.CONV_PATCH_CAP, 16 * k)
+
+
+# ---------------------------------------------------------------------------
+# cost records and the eval peak
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [mvit_config(1, 224), mvit_config(4, 224),
+                                 hiri_micro_config(128)], ids=["row1", "row4", "micro"])
+def test_cost_records_do_not_depend_on_the_bound(cfg, monkeypatch):
+    model = Model(cfg)
+    before = count_flops(model, cfg.resolution[0]).records
+    monkeypatch.setattr(ops, "FFN_BAND_BYTES", 1)
+    assert count_flops(model, cfg.resolution[0]).records == before
+
+
+def _eval_peak(row, peak_bytes):
+    model = Model(mvit_config(row, 224)).eval()
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 3, 224, 224)))
+    with no_grad():
+        return peak_bytes(lambda: model(x))
+
+
+def test_ladder_row1_eval_peak_is_under_one_hidden_map(peak_bytes):
+    """A stage-1 FFNBlock expands 64 channels eightfold at 56x56: a 12.8 MB
+    map. One pass held it whole (18.4 MB peak); bands hold a band of it."""
+    hidden = 64 * 8 * 56 * 56 * 8
+    assert _eval_peak(1, peak_bytes) < hidden
+
+
+def test_ladder_row4_eval_peak_is_under_one_hidden_map(peak_bytes):
+    """A stage-1 ConvFFNBlock of row 4 expands 64 channels tenfold at 56x56: a
+    16.1 MB map, held whole with its depth-wise conv's output by one pass
+    (34.2 MB peak); bands hold two bands of it and a few mended rows."""
+    hidden = 64 * 10 * 56 * 56 * 8
+    assert _eval_peak(4, peak_bytes) < hidden

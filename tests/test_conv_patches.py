@@ -194,6 +194,32 @@ def test_unpadded_1x1_stride1_patches_view_a_contiguous_input():
     assert not np.shares_memory(cols, xt) and cols.flags.c_contiguous
 
 
+@pytest.mark.parametrize("source", ["contiguous", "transposed", "frombuffer"])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_window_view_is_the_as_strided_view(source, padding, monkeypatch):
+    """``_patches`` views its windows with ``np.ndarray`` over the C-contiguous
+    array a block is cut from, and with ``as_strided`` over anything else."""
+    x = np.random.default_rng(29).standard_normal((2, 4, 9, 8))
+    if source == "transposed":
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    elif source == "frombuffer":
+        x = np.frombuffer(x.tobytes(), dtype=x.dtype).reshape(x.shape)
+    pad = (padding, padding)
+    win = ops._windows(x, 3, 3, (1, 1), pad, 2)
+    oracle = _padded_windows(x, 3, 3, (1, 1), pad, 2)
+    oh = oracle.shape[-2]
+    blocks = [(0, 1, 0, 2), (1, 2, 2, oh - 1), (0, 2, 0, oh)]
+    want = [_padded_patches(oracle, *b) for b in blocks]
+    calls = []
+    as_strided = np.lib.stride_tricks.as_strided
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
+                        lambda *args, **kw: calls.append(1) or as_strided(*args, **kw))
+    for block, w in zip(blocks, want):
+        got = ops._patches(win, *block)
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
+    assert len(calls) == (len(blocks) if source == "transposed" and not padding else 0)
+
+
 # ---------------------------------------------------------------------------
 # memory: no whole-map padded copy
 # ---------------------------------------------------------------------------

@@ -239,8 +239,10 @@ def test_no_grad_forward_keeps_its_input_and_bits(case, monkeypatch):
 
 def test_ladder_row1_eval_holds_one_hidden_map(peak_bytes):
     """Each stage-1 FFN expands 64 channels eightfold at 56x56, a 12.8 MB map.
-    With GELU writing into fc1's result, one such map is alive at a time; the
-    allocating forward held two (30.5 MB peak; 19.3 MB now)."""
+    With GELU writing into fc1's result, at most one such map is alive at a
+    time; the allocating forward held two (30.5 MB peak, 19.3 MB with the
+    grants). In row bands (``test_bands.py``) the blocks hold a third of one:
+    11.6 MB."""
     cfg = mvit_config(1, 224)
     model = Model(cfg).eval()
     stage = cfg.stages[0]
