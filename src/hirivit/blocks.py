@@ -11,7 +11,7 @@ in ``forward(x)``. Two views derive from it:
   parameter, any other ``Tensor`` a buffer, a ``Module`` a child.
 
 Without a tape, the feed-forward blocks (``FFNBlock``, ``ConvFFNBlock``) run
-their chain over bands of whole rows of a large map (``ops.row_bands``), so
+their chain over bands of whole rows of a large map (``ops._row_bands``), so
 an observer sees one call of each part per band. A tape, and the empty batch
 that ``trace`` runs, give one pass, so the cost records are one pass's.
 """
@@ -523,13 +523,13 @@ class PlainDownsample(Module):
 
 def _bands(block, x, alive):
     """Row boundaries of a feed-forward ``block``'s bands over ``x``:
-    :func:`ops.row_bands` under ``ops.FFN_BAND_BYTES`` for the ``alive`` bands
+    :func:`ops._row_bands` under ``ops.FFN_BAND_BYTES`` for the ``alive`` bands
     of its hidden map that it holds at once."""
     n, c, h, w = x.shape
     weight = block.fc1.weight
-    hidden_row = n * weight.shape[0] * w * np.result_type(x.data, weight.data).itemsize
-    return ops.row_bands(h, w, alive * hidden_row, ops.FFN_BAND_BYTES, weight.shape[0] * c,
-                         tape=_tensor.records_tape((x, weight)))
+    hidden_row = n * weight.shape[0] * w * x.data.itemsize
+    return ops._row_bands(h, w, alive * hidden_row, ops.FFN_BAND_BYTES, weight.shape[0] * c,
+                          tape=_tensor.records_tape((x, weight)))
 
 
 def _rows(x, r0, r1):
@@ -538,10 +538,8 @@ def _rows(x, r0, r1):
 
 def _stitch(x, bands):
     """One map of ``x``'s shape from ``(r0, r1, result)``: each band's rows."""
-    out = None
+    out = np.empty(x.shape)
     for r0, r1, y in bands:
-        if out is None:
-            out = np.empty(x.shape, y.dtype)
         out[:, :, r0:r1] = y.data
     return Tensor(out, op="add")
 
@@ -553,7 +551,7 @@ class ConvFFNBlock(Module):
     3x3 over the hidden map, then 1x1 projection back: out = x + FC2(DW(z) + z).
 
     Without a tape, a hidden map above ``ops.FFN_BAND_BYTES`` is never built
-    whole: the chain runs over bands of whole rows (:func:`ops.row_bands`),
+    whole: the chain runs over bands of whole rows (:func:`ops._row_bands`),
     each written into one output map, so an observer sees the chain's calls
     once per band. A band's depth-wise conv runs on its own hidden rows, so
     its rows next to a cut first read the conv's zero padding. Those rows are

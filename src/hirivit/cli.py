@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -16,9 +17,12 @@ import numpy as np
 from .analyzer import (count_flops, scaling_csv, scaling_report, scaling_table,
                        verify_reference_costs)
 from .config import parse_config
+from .engine import Tensor, grad_check, ops
 from .errors import ConfigError, ResolutionError, ShapeError
-from .params import save_checkpoint
-from .zoo import Model, build_model, hiri_config, hiri_micro_config
+from .params import init_tree, save_checkpoint
+from .train import (METRICS_HEADER, SyntheticQuadrants, TrainConfig, TrainingDiverged,
+                    train_loop)
+from .zoo import REFERENCE_RESOLUTION, Model, build_model, hiri_config, hiri_micro_config
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -34,7 +38,7 @@ def _load_config(args, default=None):
                 raise ConfigError(f"{args.config} is not a text config file: {exc}") from exc
         return parse_config(text)
     if getattr(args, "variant", None):
-        res = args.res[0] if getattr(args, "res", None) else 448
+        res = args.res[0] if getattr(args, "res", None) else REFERENCE_RESOLUTION
         return hiri_config(args.variant, res)
     if default is not None:
         return default
@@ -90,11 +94,14 @@ def _gradcheck_cases():
     }
 
 
-def check_block_gradients(name: str, tol: float = 1e-4, seed: int = 0):
-    """Finite-difference check of one block; returns a GradCheckReport."""
-    from .engine import Tensor, grad_check, ops
-    from .params import init_tree
+def _defaults(fn) -> dict:
+    """The default values that ``fn`` declares, by parameter name."""
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
 
+
+def check_block_gradients(name: str, tol: float = _defaults(grad_check)["tol"], seed: int = 0):
+    """Finite-difference check of one block; returns a GradCheckReport."""
     make, shape = _gradcheck_cases()[name]
     block = make()
     rng = np.random.default_rng(seed)
@@ -143,9 +150,6 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    from .train import (METRICS_HEADER, SyntheticQuadrants, TrainConfig,
-                        TrainingDiverged, train_loop)
-
     cfg = _load_config(args, default=hiri_micro_config())
     height, width = cfg.resolution
     if height != width:     # the synthetic images are square
@@ -153,7 +157,7 @@ def cmd_train(args) -> int:
     tc = TrainConfig(steps=args.steps, alpha=args.alpha,    # checks every value
                      ema_decay=args.ema_decay, seed=args.seed)
     model, _ = build_model(cfg, seed=args.seed)
-    teacher, _ = build_model(cfg, seed=args.seed)
+    teacher = Model(cfg)        # train_loop copies every student entry into it
     dataset = SyntheticQuadrants(image_size=height,
                                  num_classes=cfg.num_classes, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -181,8 +185,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_tables(args) -> int:
-    checks = verify_reference_costs(tol_params=args.tol_params,
-                                    tol_flops=args.tol_flops)
+    checks = verify_reference_costs(args.tol_params, args.tol_flops)
     all_ok = True
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -209,6 +212,13 @@ def _non_negative(convert):
     return parse
 
 
+def _resolutions(text):
+    return [int(r) for r in text.split(",")]
+
+
+_resolutions.__name__ = "comma-separated list of integers"  # argparse's "invalid ... value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hirivit",
@@ -219,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="parameter/FLOP report per resolution")
     pa.add_argument("--variant", choices=["S", "B", "L"])
     pa.add_argument("--config", help="model config file")
-    pa.add_argument("--res", type=lambda s: [int(r) for r in s.split(",")],
+    pa.add_argument("--res", type=_resolutions,
                     help="comma-separated input resolutions")
     pa.add_argument("--format", choices=["table", "csv"], default="table")
     pa.add_argument("--detail", action="store_true",
@@ -229,25 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     pg.add_argument("--block", help="single block name (default: all)")
-    pg.add_argument("--tol", type=_non_negative(float), default=1e-4)
-    pg.add_argument("--seed", type=_non_negative(int), default=0)
-    pg.set_defaults(fn=cmd_gradcheck)
+    pg.add_argument("--tol", type=_non_negative(float))
+    pg.add_argument("--seed", type=_non_negative(int))
+    pg.set_defaults(fn=cmd_gradcheck, **_defaults(check_block_gradients))
 
     pt = sub.add_parser("train", help="train on the synthetic dataset")
     pt.add_argument("--config", help="model config file (default: micro variant)")
     pt.add_argument("--variant", choices=["S", "B", "L"])
-    pt.add_argument("--seed", type=_non_negative(int), default=0)
-    pt.add_argument("--steps", type=int, default=200)
-    pt.add_argument("--alpha", type=float, default=0.5)
-    pt.add_argument("--ema-decay", type=float, default=0.9998)
+    pt.add_argument("--seed", type=_non_negative(int), default=TrainConfig.seed)
+    pt.add_argument("--steps", type=int, default=TrainConfig.steps)
+    pt.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    pt.add_argument("--ema-decay", type=float, default=TrainConfig.ema_decay)
     pt.add_argument("--out", default="train_out")
     pt.set_defaults(fn=cmd_train)
 
     pv = sub.add_parser("verify-tables",
                         help="check built models against published costs")
-    pv.add_argument("--tol-params", type=_non_negative(float), default=0.03)
-    pv.add_argument("--tol-flops", type=_non_negative(float), default=0.10)
-    pv.set_defaults(fn=cmd_verify_tables)
+    pv.add_argument("--tol-params", type=_non_negative(float))
+    pv.add_argument("--tol-flops", type=_non_negative(float))
+    pv.set_defaults(fn=cmd_verify_tables, **_defaults(verify_reference_costs))
     return p
 
 

@@ -30,7 +30,7 @@ Conventions
   outputs and gradients are bitwise equal to one-block runs (checked on
   OpenBLAS 0.3.31's SkylakeX kernels), and results do not depend on
   either block size.
-* One rule, :func:`row_bands`, cuts a map into bands of whole rows, both the
+* One rule, :func:`_row_bands`, cuts a map into bands of whole rows, both the
   conv's row blocks and the bands in which the no-tape feed-forward blocks
   (``blocks.FFNBlock``, ``blocks.ConvFFNBlock``) run their whole chain, so
   that their wide hidden map never exists whole (``FFN_BAND_BYTES``). Cuts
@@ -52,8 +52,8 @@ Conventions
   the code that wires an op straight after the op that made its input knows
   that nothing reads that input again, so the grant is made there, never
   inferred. The op honours it only when it records no tape, and only into a
-  writable C-contiguous array of the result's shape and dtype, so the
-  result keeps the layout a new array would get (see :func:`_reusable`).
+  writable C-contiguous array of the result's shape, so the result keeps
+  the layout a new array would get (see :func:`_reusable`).
   Every value is bitwise the one a new array would hold.
 * Reductions sum in the order their axis holds. ``blocks.Attention`` puts
   its keys in one canonical order (``take_rows``), so attention does not
@@ -99,7 +99,7 @@ CONV_BLOCK_BYTES = 1 << 19
 CONV_PATCH_CAP = 2 << 20
 # Bytes of the hidden map that a no-tape feed-forward block holds at once when
 # it runs in row bands (``blocks.FFNBlock`` one band, ``blocks.ConvFFNBlock`` a
-# band and its lookahead; see :func:`row_bands`). Narrower GEMMs run slower:
+# band and its lookahead; see :func:`_row_bands`). Narrower GEMMs run slower:
 # in a 2-16 MB sweep of the ladder-row-1@224 eval forward (60 interleaved
 # pairs against one pass, 2 CPUs, OpenBLAS at 2 threads) the median forward
 # cost +5.4, +6.7, +5.0, +1.9, +2.5 and +0.3% at 2, 3, 4, 5, 6 and 8 MB. 5
@@ -155,16 +155,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _reusable(x: Tensor, parents: tuple, dtype=None) -> bool:
+def _reusable(x: Tensor, parents: tuple) -> bool:
     """Whether an op granted ``inplace`` may write its result into ``x``'s array.
 
-    Only without a tape, and only into a writable C-contiguous array of the
-    result's ``dtype`` (by default ``x``'s), so the result keeps the layout
-    and dtype a new array would get.
+    Only without a tape, and only into a writable C-contiguous array, so the
+    result keeps the layout a new array would get.
     """
-    d = x.data
-    return (not records_tape(parents) and d.flags.writeable and d.flags.c_contiguous
-            and (dtype is None or d.dtype == dtype))
+    return not records_tape(parents) and x.data.flags.writeable and x.data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +176,7 @@ def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
     lays ``a + b`` out C-contiguously whenever ``b`` is, whatever the layout
     of ``a``, so writing into a C-contiguous ``b`` keeps the layout.
     """
-    reuse = (inplace and a.shape == b.shape
-             and _reusable(b, (a, b), np.result_type(a.data, b.data)))
+    reuse = inplace and a.shape == b.shape and _reusable(b, (a, b))
     data = np.add(a.data, b.data, out=b.data if reuse else None)
     sa, sb = a.shape, b.shape
 
@@ -202,7 +198,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float, inplace: bool = False) -> Tensor:
     """``a * s``; ``inplace`` grants writing a no-tape result into ``a``."""
-    reuse = inplace and _reusable(a, (a,), np.result_type(a.data, s))
+    reuse = inplace and _reusable(a, (a,))
     data = np.multiply(a.data, s, out=a.data if reuse else None)
 
     def bw(g):
@@ -366,7 +362,7 @@ def _windows(x, kh, kw, stride, padding, groups):
     return _Windows(x, stride, padding, (n, groups, cin // groups, kh, kw, oh, ow))
 
 
-def row_bands(rows, cols, row_bytes, cap, col_macs=0, tape=False):
+def _row_bands(rows, cols, row_bytes, cap, col_macs=0, tape=False):
     """Boundaries ``[0, ..., rows]`` of bands of whole rows of a ``rows x cols``
     map, ``row_bytes`` a row, for a no-tape chain whose GEMMs cut only columns.
 
@@ -393,12 +389,12 @@ def row_bands(rows, cols, row_bytes, cap, col_macs=0, tape=False):
 
 def _row_bounds(win, groups_per_block, coutg):
     """Output-row boundaries of the forward blocks of ``groups_per_block``
-    groups: :func:`row_bands` of their patch matrix under ``CONV_PATCH_CAP``,
+    groups: :func:`_row_bands` of their patch matrix under ``CONV_PATCH_CAP``,
     whose GEMMs have ``coutg`` rows."""
     n, _, cing, kh, kw, oh, ow = win.shape
     k = cing * kh * kw
-    return row_bands(oh, ow, n * groups_per_block * k * ow * win.itemsize,
-                     CONV_PATCH_CAP, coutg * k if coutg > 1 else 0)
+    return _row_bands(oh, ow, n * groups_per_block * k * ow * win.itemsize,
+                      CONV_PATCH_CAP, coutg * k if coutg > 1 else 0)
 
 
 def _blocks(win, coutg=None):
@@ -471,7 +467,7 @@ def _conv2d_fast(x, w, bias, stride, padding, groups):
     win = _windows(x, kh, kw, stride, padding, groups)
     oh, ow = win.shape[-2:]
     w2 = w.reshape(groups, cout // groups, cing * kh * kw)
-    out = np.empty((n, groups, cout // groups, oh * ow), dtype=np.result_type(x, w))
+    out = np.empty((n, groups, cout // groups, oh * ow), dtype=x.dtype)
     # a 1x1 stride-1 conv's patch matrix is a view of its input: nothing to bound
     coutg = None if kh == kw == 1 and stride == (1, 1) else cout // groups
     for g0, g1, r0, r1 in _blocks(win, coutg):
@@ -629,7 +625,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         inv = 1.0 / np.sqrt(running_var + eps)
         scale = gd * inv
         xd = x.data        # backward normalizes the input again for gamma's gradient
-        reuse = inplace and _reusable(x, (x, gamma, beta), np.result_type(xd, scale))
+        reuse = inplace and _reusable(x, (x, gamma, beta))
         data = np.multiply(xd, scale.reshape(cshape), out=xd if reuse else None)
         data += (beta.data - mean * scale).reshape(cshape)
 
@@ -671,10 +667,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xn = np.subtract(x.data, mean, out=xn)
     xn *= inv
     gd = gamma.data
-    # the tape keeps xn; without it xn may hold the result, if of its dtype
-    reuse = (not records_tape((x, gamma, beta))
-             and xn.dtype == np.result_type(xn, gd, beta.data))
-    data = np.multiply(xn, gd, out=xn if reuse else None)
+    # the tape keeps xn; without it xn holds the result
+    data = np.multiply(xn, gd, out=None if records_tape((x, gamma, beta)) else xn)
     data += beta.data
 
     def bw(g):

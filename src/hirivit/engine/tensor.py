@@ -20,8 +20,6 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
 _grad_enabled = True
 _observer = None
 
@@ -67,14 +65,12 @@ class _Node:
 
 
 class Tensor:
+    """Float64 data only: any other input is converted once; a float64 array is kept."""
+
     __slots__ = ("data", "grad", "requires_grad", "op", "_node")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
-        if not isinstance(data, np.ndarray):
-            data = np.asarray(data, dtype=DEFAULT_DTYPE)
-        if data.dtype not in (np.float32, np.float64):
-            data = data.astype(DEFAULT_DTYPE)
-        self.data = data
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.op = op

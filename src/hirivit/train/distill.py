@@ -89,5 +89,5 @@ def soft_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
         raise ValueError(
             f"logits shape {logits.shape} does not match target {np.shape(target)}")
     logp = ops.log_softmax(logits, axis=-1)
-    weighted = ops.mul(logp, Tensor(np.asarray(target, dtype=np.float64)))
+    weighted = ops.mul(logp, Tensor(target))
     return ops.scale(ops.tsum(weighted), -1.0 / logits.shape[0])

@@ -1,7 +1,7 @@
 """No-tape feed-forward blocks run in row bands.
 
 Without a tape, ``FFNBlock`` and ``ConvFFNBlock`` run their chain over bands
-of whole rows (``ops.row_bands``) whenever the hidden map exceeds
+of whole rows (``ops._row_bands``) whenever the hidden map exceeds
 ``ops.FFN_BAND_BYTES``, so the wide hidden map never exists whole. Every
 output must be bitwise that of one pass, the cost records must not move, and
 the eval activation peak must fall below one hidden map.
@@ -156,7 +156,7 @@ def test_taped_forward_is_one_pass(monkeypatch):
     (112, 112, 7000, 1 << 20, 65536),
 ])
 def test_row_bands_cover_the_map_on_16_column_cuts(rows, cols, row_bytes, cap, col_macs):
-    bounds = ops.row_bands(rows, cols, row_bytes, cap, col_macs)
+    bounds = ops._row_bands(rows, cols, row_bytes, cap, col_macs)
     assert bounds[0] == 0 and bounds[-1] == rows
     sizes = np.diff(bounds)
     assert (sizes > 0).all()
@@ -177,14 +177,14 @@ def test_row_bands_cover_the_map_on_16_column_cuts(rows, cols, row_bytes, cap, c
     (14, 14, 1000, False),      # 196 positions: no multiple of 16
 ])
 def test_row_bands_one_pass(rows, cols, row_bytes, tape):
-    assert ops.row_bands(rows, cols, row_bytes, 5_000, 0, tape=tape) == [0, rows]
+    assert ops._row_bands(rows, cols, row_bytes, 5_000, 0, tape=tape) == [0, rows]
 
 
 def test_conv_row_blocks_follow_the_same_rule():
     x = np.zeros((2, 8, 56, 56))
     win = ops._windows(x, 3, 3, (1, 1), (1, 1), 1)
     k = 8 * 9
-    assert ops._row_bounds(win, 1, 16) == ops.row_bands(
+    assert ops._row_bounds(win, 1, 16) == ops._row_bands(
         56, 56, 2 * k * 56 * 8, ops.CONV_PATCH_CAP, 16 * k)
 
 

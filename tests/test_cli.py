@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirivit.cli import main
+from hirivit import zoo
+from hirivit.cli import build_parser, main
 from hirivit.config import serialize_config
 from hirivit.params import load_checkpoint
+from hirivit.train import TrainConfig
 from hirivit.zoo import hiri_micro_config
 
 
@@ -99,6 +101,38 @@ def test_train_writes_artifacts(tmp_path, capsys):
     student = load_checkpoint(os.path.join(out_dir, "student.hiri"))
     teacher = load_checkpoint(os.path.join(out_dir, "teacher.hiri"))
     assert student.paths() == teacher.paths()
+
+
+def test_train_draws_the_student_init_only(tmp_path, monkeypatch):
+    """The teacher starts as a copy of the student, so only the student's
+    weights are drawn."""
+    calls = []
+    init_tree = zoo.init_tree
+
+    def counting(tree, seed):
+        calls.append(seed)
+        return init_tree(tree, seed)
+
+    monkeypatch.setattr(zoo, "init_tree", counting)
+    assert main(["train", "--steps", "1", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert calls == [3]
+
+
+def test_train_defaults_are_the_recipe_defaults():
+    args = build_parser().parse_args(["train"])
+    recipe = TrainConfig()
+    assert (args.steps, args.alpha, args.ema_decay, args.seed) == \
+        (recipe.steps, recipe.alpha, recipe.ema_decay, recipe.seed)
+
+
+@pytest.mark.parametrize("res", [",", "224,x", ""])
+def test_analyze_bad_res_names_what_it_expects(res, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--variant", "S", "--res", res])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "<lambda>" not in err
+    assert f"argument --res: invalid comma-separated list of integers value: {res!r}" in err
 
 
 def test_train_deterministic_per_seed(tmp_path):

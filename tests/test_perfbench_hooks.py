@@ -5,6 +5,9 @@ every hooked name still exists."""
 import importlib.util
 import os
 
+import numpy as np
+
+from hirivit.engine import Tensor, no_grad
 from hirivit.train import AdamW, SyntheticQuadrants, TrainConfig, train_loop
 from hirivit.train import loop
 
@@ -63,3 +66,37 @@ def test_every_traced_backward_closure_runs_once_per_step(micro_setup, monkeypat
     assert not tracer.missing
     assert calls and calls == [1] * len(calls)
     assert sum(s[tracing.KIND] == "bwd" for s in tracer.spans) == len(calls)
+
+
+def test_every_traced_op_returns_a_tensor(micro_setup, monkeypatch):
+    # the tracer times every public engine.ops function as an op; a helper
+    # that returns no Tensor would be counted as an op and take its time out
+    # of the self time of the op or module span that called it
+    tracing = _tracing(monkeypatch)
+    model, teacher, data = micro_setup()
+    tracer = tracing.Tracer()
+    returned = []
+    wrap_op = tracer._wrap_op
+
+    def recording(name, fn):
+        def op(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            returned.append((name, type(out)))
+            return out
+
+        return wrap_op(name, op)
+
+    tracer._wrap_op = recording
+    tracer.install(train=True)
+    try:
+        model.eval()
+        with no_grad():
+            model(Tensor(np.random.default_rng(0).standard_normal((2, 3, 64, 64))))
+        model.train(True)
+        train_loop(model, data, TrainConfig(steps=1, mix_prob=1.0, seed=0),
+                   teacher_model=teacher)
+    finally:
+        tracer.remove()
+    assert not tracer.missing
+    assert returned
+    assert sorted({name for name, kind in returned if kind is not Tensor}) == []

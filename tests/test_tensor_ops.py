@@ -397,14 +397,23 @@ class TestSpatial:
             ops.adaptive_avg_pool2d(t(np.ones((1, 1, 2, 2))), (3, 3))
 
 
-def test_float32_fast_mode_preserved():
-    # 64-bit is the reference mode; 32-bit runs end to end as a fast mode
-    rng = np.random.default_rng(18)
-    x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
-    w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
-    y = ops.gelu(ops.conv2d(x, w, stride=2, padding=1))
-    assert y.dtype == np.float32
-    assert np.isfinite(y.data).all()
+@pytest.mark.parametrize("data", [
+    np.random.default_rng(18).standard_normal((2, 3)).astype(np.float32),
+    np.arange(6).reshape(2, 3),
+    [[0.5, 1, -2], [3, 0.25, 7]],
+], ids=["float32", "int", "list"])
+def test_tensor_converts_any_input_to_float64(data):
+    x = Tensor(data)
+    assert x.dtype == np.float64
+    assert (x.data == np.asarray(data)).all()      # each value converts exactly
+
+
+def test_tensor_keeps_a_float64_array_without_a_copy():
+    a = np.random.default_rng(19).standard_normal((4, 6))
+    # what load_checkpoint hands over: a read-only, unaligned view of a byte buffer
+    raw = np.frombuffer(b"\0" + a.tobytes(), np.uint8)[1:].view("<f8").reshape(4, 6)
+    for data in (a, a.T, a[:, ::2], raw):
+        assert Tensor(data).data is data
 
 
 def test_nan_free_pipeline():

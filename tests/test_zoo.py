@@ -96,6 +96,19 @@ class TestForward:
             b = model(x).data.copy()
         assert (a == b).all()
 
+    @pytest.mark.parametrize("config", [hiri_micro_config(), mvit_config(1, 224)],
+                             ids=["micro@64", "ladder_row1@224"])
+    def test_float32_image_gives_the_float64_logits(self, config):
+        """A ``Tensor`` converts a float32 image to float64 when it is made."""
+        model, _ = build_model(config, seed=0)
+        model.eval()
+        x = np.random.default_rng(5).standard_normal((1, 3, *config.resolution))
+        with no_grad():
+            y32 = model(Tensor(x.astype(np.float32))).data
+            y64 = model(Tensor(x.astype(np.float32).astype(np.float64))).data
+        assert y32.dtype == np.float64
+        assert y32.tobytes() == y64.tobytes()
+
     def test_batch_independence_in_eval(self):
         model, _ = build_model(hiri_micro_config(), seed=4)
         model.eval()
