@@ -10,10 +10,12 @@ in ``forward(x)``. Two views derive from it:
 * the registry -- the attributes: a ``Tensor`` that requires grad is a
   parameter, any other ``Tensor`` a buffer, a ``Module`` a child.
 
-Without a tape, the feed-forward blocks (``FFNBlock``, ``ConvFFNBlock``) run
-their chain over bands of whole rows of a large map (``ops._row_bands``), so
-an observer sees one call of each part per band. A tape, and the empty batch
-that ``trace`` runs, give one pass, so the cost records are one pass's.
+Without a tape and in eval mode, the feed-forward blocks (``FFNBlock``,
+``ConvFFNBlock``), the stem (``HighResStem``) and the high-resolution block
+(``HighResBlock``) run their chain over bands of whole rows of a large map
+(``ops._row_bands``, through :func:`_bands`), so an observer sees one call of
+each part per band. A tape, training mode and the empty batch that ``trace``
+runs give one pass, so the cost records are one pass's.
 """
 
 from __future__ import annotations
@@ -65,12 +67,12 @@ class _CostPass:
         self.shapes = {}           # path -> output shape of each module call
         self.frames = []           # (path, [params, macs, elementwise, activations], leaf)
 
-    def call(self, module, x):
+    def call(self, module, x, **kw):
         path = self.paths[id(module)]
         cost = [sum(p.size for p in module._params.values()), 0, 0, 0]
         self.frames.append((path, cost, not module._children))
         try:
-            out = module.forward(x)
+            out = module.forward(x, **kw)
         except (ShapeError, ResolutionError) as exc:
             if path and not hasattr(exc, "path"):     # name the innermost module
                 exc.path = path
@@ -169,10 +171,10 @@ class Module:
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, **kw) -> Tensor:
         if _tensor._observer is None:
-            return self.forward(x)
-        return _tensor._observer.call(self, x)
+            return self.forward(x, **kw)
+        return _tensor._observer.call(self, x, **kw)
 
     def trace(self, in_shape, path: str = "") -> _CostPass:
         """The ``_CostPass`` of ``forward`` on an input shape: its cost
@@ -244,10 +246,11 @@ class Conv2d(Module):
         self.weight = param((cout, cin // groups, kernel, kernel))
         self.bias = param((cout,)) if bias else None
 
-    def forward(self, x):
+    def forward(self, x, rows=None):
+        """The conv of ``x``, or of the row window ``rows`` (``ops.Rows``)."""
         return ops.conv2d(x, self.weight, self.bias,
                           stride=self.stride, padding=self.padding,
-                          groups=self.groups)
+                          groups=self.groups, rows=rows)
 
 
 class Linear(Module):
@@ -360,6 +363,13 @@ class HighResStem(Module):
 
     Every norm, activation and the sum run in place without a tape (``ops``
     conventions): each one's input is the result of the op before it.
+
+    Without a tape and in eval mode, an output above ``ops.HIRES_BAND_BYTES``
+    is never built whole, nor are the half-resolution maps: the chain runs
+    over bands of output rows, each written into one output map. Each conv
+    of a band computes the rows that the next one reads, halo rows included,
+    from those its input holds (``ops.Rows``); the halo rows are computed
+    again by the next band. Every output is bitwise that of one pass.
     """
 
     def __init__(self, cin, cout):
@@ -385,13 +395,45 @@ class HighResStem(Module):
         n, c, h, w = x.shape
         if h % 4 or w % 4:
             raise ResolutionError(f"stem input {h}x{w} not divisible by 4")
-        e = self.entry_act(self.entry_norm(self.entry(x)))
-        hi = self.hi_down(self.hi_act(self.hi_norm(self.hi_dw(e))))
-        lo = self.lo_act1(self.lo_norm1(self.lo_down(e)))
-        del e               # the half-resolution map: both branches have read it
-        lo = self.lo_act2(self.lo_norm2(self.lo_expand(lo)))
-        lo = self.lo_project(lo)
-        return self.out_norm(ops.add(hi, lo, inplace=True))
+        bounds = self._bounds(x)
+        if len(bounds) == 2:
+            e = self.entry_act(self.entry_norm(self.entry(x)))
+            hi = self.hi_down(self.hi_act(self.hi_norm(self.hi_dw(e))))
+            lo = self.lo_act1(self.lo_norm1(self.lo_down(e)))
+            del e           # the half-resolution map: both branches have read it
+            lo = self.lo_act2(self.lo_norm2(self.lo_expand(lo)))
+            lo = self.lo_project(lo)
+            return self.out_norm(ops.add(hi, lo, inplace=True))
+        shape = (n, self.out_norm.gamma.shape[0], h // 4, w // 4)
+        return _stitch(shape, ((r0, r1, self._band(x, r0, r1))
+                               for r0, r1 in zip(bounds, bounds[1:])))
+
+    def _bounds(self, x):
+        """Output-row boundaries of the bands (:func:`_bands`): one pass unless
+        the output is a multiple of 16 columns wide, as every GEMM that makes
+        halo rows (``entry``, ``hi_dw`` and ``lo_down``) then is."""
+        n, _, h, w = x.shape
+        if (w // 4) % 16:
+            return [0, h // 4]
+        # the smallest GEMMs per output column: entry's four, or lo_project's
+        macs = min(4 * self.entry.weight.size, self.lo_project.weight.size)
+        return _bands(self, x, self.entry.weight, h // 4, w // 4,
+                      self.out_norm.gamma.shape[0], macs, ops.HIRES_BAND_BYTES)
+
+    def _band(self, x, r0, r1):
+        """Output rows ``[r0, r1)``: each conv computes the rows the next reads."""
+        h = x.shape[2]
+        lo0, lo1 = max(r0 - 1, 0), min(r1 + 1, h // 4)     # lo_down's: lo_expand reads them
+        hi0 = max(2 * r0 - 1, 0)                           # hi_dw's first: hi_down reads it
+        e0 = max(2 * lo0 - 1, 0)                           # entry's first: lo_down reads it
+        e = self.entry_act(self.entry_norm(self.entry(x, rows=ops.Rows(e0, 2 * lo1, 0, h))))
+        d = self.hi_act(self.hi_norm(self.hi_dw(e, rows=ops.Rows(hi0, 2 * r1, e0, h // 2))))
+        hi = self.hi_down(d, rows=ops.Rows(r0, r1, hi0, h // 2))
+        del d
+        lo = self.lo_act1(self.lo_norm1(self.lo_down(e, rows=ops.Rows(lo0, lo1, e0, h // 2))))
+        del e
+        lo = self.lo_act2(self.lo_norm2(self.lo_expand(lo, rows=ops.Rows(r0, r1, lo0, h // 4))))
+        return self.out_norm(ops.add(hi, self.lo_project(lo), inplace=True))
 
 
 class HighResBlock(Module):
@@ -401,6 +443,13 @@ class HighResBlock(Module):
     depth-wise 3x3 with BN, a position-wise feed-forward (1x1 convs with an
     activation), nearest-neighbor upsampling back to the full grid. Both
     branch outputs are added to the block input.
+
+    Without a tape and in eval mode, a map above ``ops.HIRES_BAND_BYTES`` runs
+    the chain over bands of rows, written into one output map, so neither
+    the pre-norm map nor the upsampled low branch exists whole. A band
+    normalizes its rows and the row on each side of them, and both
+    depth-wise convs compute its rows from those (``ops.Rows``). Every
+    output is bitwise that of one pass.
     """
 
     def __init__(self, channels, expansion):
@@ -419,13 +468,43 @@ class HighResBlock(Module):
         if h % 2 or w % 2:
             raise ResolutionError(
                 f"high-resolution block needs even spatial extents, got {h}x{w}")
-        z = self.pre_norm(x)
-        hi = self.hi_dw(z)
-        lo = self.lo_dw(z)
-        del z               # both branches have read it
+        bounds = self._bounds(x)
+        if len(bounds) == 2:
+            z = self.pre_norm(x)
+            hi = self.hi_dw(z)
+            lo = self.lo_dw(z)
+            del z           # both branches have read it
+            lo = self.lo_fc2(self.lo_act(self.lo_fc1(self.lo_norm(lo))))
+            lo = ops.upsample_repeat(lo, 2)
+            return ops.add(ops.add(x, hi, inplace=True), lo, inplace=True)
+        out = np.empty(x.shape)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            self._band(x, r0, r1, out)
+        return Tensor(out, op="add")
+
+    def _bounds(self, x):
+        """Output-row boundaries of the bands (:func:`_bands`), cut as the low
+        branch's map is, two output rows a row. No GEMM makes halo rows: only
+        the elementwise ``pre_norm`` does."""
+        n, c, h, w = x.shape
+        low = _bands(self, x, self.hi_dw.weight, h // 2, w // 2, 4 * c,
+                     self.lo_fc1.weight.size, ops.HIRES_BAND_BYTES)
+        return [2 * r for r in low]
+
+    def _band(self, x, r0, r1, out):
+        """Write output rows ``[r0, r1)`` into ``out``: ``x`` plus the high
+        branch, then the low branch, repeated along its columns only, added
+        through a view of the rows in pairs."""
+        n, c, h, w = x.shape
+        top = max(r0 - 1, 0)
+        z = self.pre_norm(_rows(x, top, min(r1 + 1, h)))
+        np.add(x.data[:, :, r0:r1], self.hi_dw(z, rows=ops.Rows(r0, r1, top, h)).data,
+               out=out[:, :, r0:r1])
+        lo = self.lo_dw(z, rows=ops.Rows(r0 // 2, r1 // 2, top, h))
+        del z
         lo = self.lo_fc2(self.lo_act(self.lo_fc1(self.lo_norm(lo))))
-        lo = ops.upsample_repeat(lo, 2)
-        return ops.add(ops.add(x, hi, inplace=True), lo, inplace=True)
+        pairs = out.reshape(n, c, h // 2, 2, w)[:, :, r0 // 2:r1 // 2]
+        np.add(pairs, np.repeat(lo.data, 2, axis=3)[:, :, :, None], out=pairs)
 
 
 def _resolve_resize(in_grid: int | None, out_grid: int | None):
@@ -521,24 +600,26 @@ class PlainDownsample(Module):
         return self.norm(self.conv(x))
 
 
-def _bands(block, x, alive):
-    """Row boundaries of a feed-forward ``block``'s bands over ``x``:
-    :func:`ops._row_bands` under ``ops.FFN_BAND_BYTES`` for the ``alive`` bands
-    of its hidden map that it holds at once."""
-    n, c, h, w = x.shape
-    weight = block.fc1.weight
-    hidden_row = n * weight.shape[0] * w * x.data.itemsize
-    return ops._row_bands(h, w, alive * hidden_row, ops.FFN_BAND_BYTES, weight.shape[0] * c,
-                          tape=_tensor.records_tape((x, weight)))
+def _bands(block, x, weight, rows, cols, channels, col_macs, cap):
+    """Row boundaries of ``block``'s bands over a ``rows x cols`` map of
+    ``channels``, ``cap`` bytes of it a band: :func:`ops._row_bands`,
+    ``col_macs`` as there.
+
+    One band when an op on ``x`` and ``weight`` records a tape, or in
+    training mode, where a batch norm takes the statistics of the whole batch.
+    """
+    row_bytes = x.shape[0] * channels * cols * x.data.itemsize
+    return ops._row_bands(rows, cols, row_bytes, cap, col_macs,
+                          tape=block.training or _tensor.records_tape((x, weight)))
 
 
 def _rows(x, r0, r1):
     return Tensor(x.data[:, :, r0:r1])
 
 
-def _stitch(x, bands):
-    """One map of ``x``'s shape from ``(r0, r1, result)``: each band's rows."""
-    out = np.empty(x.shape)
+def _stitch(shape, bands):
+    """One map of ``shape`` from ``(r0, r1, result)``: each band's rows."""
+    out = np.empty(shape)
     for r0, r1, y in bands:
         out[:, :, r0:r1] = y.data
     return Tensor(out, op="add")
@@ -550,16 +631,16 @@ class ConvFFNBlock(Module):
     Pre-normalized; hidden = act(1x1 expand), then a residual depth-wise
     3x3 over the hidden map, then 1x1 projection back: out = x + FC2(DW(z) + z).
 
-    Without a tape, a hidden map above ``ops.FFN_BAND_BYTES`` is never built
-    whole: the chain runs over bands of whole rows (:func:`ops._row_bands`),
-    each written into one output map, so an observer sees the chain's calls
-    once per band. A band's depth-wise conv runs on its own hidden rows, so
-    its rows next to a cut first read the conv's zero padding. Those rows are
-    then mended: the next band's hidden rows are computed (one band of
-    lookahead, so at most two bands of the hidden map are alive), and one more
-    call of the conv per cut runs on the two hidden rows on each side of it,
-    which gives the true values of the two rows next to it. Every output is
-    bitwise that of one pass.
+    Without a tape and in eval mode, a hidden map above
+    ``ops.FFN_BAND_BYTES`` is never built whole: the chain runs over bands of
+    whole rows (:func:`ops._row_bands`), each written into one output map,
+    so an observer sees the chain's calls once per band. A band's depth-wise
+    conv runs on its own hidden rows, so its rows next to a cut first read
+    the conv's zero padding. Those rows are then mended: the next band's
+    hidden rows are computed (one band of lookahead, so at most two bands of
+    the hidden map are alive), and one more call of the conv per cut runs on
+    the two hidden rows on each side of it, which gives the true values of
+    the two rows next to it. Every output is bitwise that of one pass.
     """
 
     def __init__(self, channels, expansion, norm="bn"):
@@ -577,12 +658,19 @@ class ConvFFNBlock(Module):
     def _project(self, x, z):
         return ops.add(x, self.fc2(z), inplace=True)
 
+    def _bounds(self, x):
+        """Row boundaries of the bands (:func:`_bands`): a band of the hidden
+        map and its lookahead."""
+        fc1 = self.fc1.weight
+        return _bands(self, x, fc1, *x.shape[2:], 2 * fc1.shape[0], fc1.size,
+                      ops.FFN_BAND_BYTES)
+
     def forward(self, x):
-        bounds = _bands(self, x, 2)      # a band and its lookahead
+        bounds = self._bounds(x)
         if len(bounds) == 2:
             z = self._hidden(x)
             return self._project(x, ops.add(self.dw(z), z, inplace=True))
-        return _stitch(x, self._banded(x, list(zip(bounds, bounds[1:]))))
+        return _stitch(x.shape, self._banded(x, list(zip(bounds, bounds[1:]))))
 
     def _banded(self, x, spans):
         """Yield ``(r0, r1, output)`` for each band of output rows."""
@@ -624,8 +712,9 @@ class ConvFFNBlock(Module):
 class FFNBlock(Module):
     """Residual position-wise feed-forward block (no depth-wise conv).
 
-    Without a tape, a hidden map above ``ops.FFN_BAND_BYTES`` is never built
-    whole: the chain runs over bands of whole rows (see :class:`ConvFFNBlock`).
+    Without a tape and in eval mode, a hidden map above
+    ``ops.FFN_BAND_BYTES`` is never built whole: the chain runs over bands of
+    whole rows (see :class:`ConvFFNBlock`).
     """
 
     def __init__(self, channels, expansion, norm="ln"):
@@ -640,12 +729,17 @@ class FFNBlock(Module):
         y = self.fc2(self.act(self.fc1(self.pre_norm(x))))
         return ops.add(x, y, inplace=True)
 
+    def _bounds(self, x):
+        """Row boundaries of the bands (:func:`_bands`): a band of the hidden map."""
+        fc1 = self.fc1.weight
+        return _bands(self, x, fc1, *x.shape[2:], fc1.shape[0], fc1.size, ops.FFN_BAND_BYTES)
+
     def forward(self, x):
-        bounds = _bands(self, x, 1)
+        bounds = self._bounds(x)
         if len(bounds) == 2:
             return self._chain(x)
-        return _stitch(x, ((r0, r1, self._chain(_rows(x, r0, r1)))
-                           for r0, r1 in zip(bounds, bounds[1:])))
+        return _stitch(x.shape, ((r0, r1, self._chain(_rows(x, r0, r1)))
+                                 for r0, r1 in zip(bounds, bounds[1:])))
 
 
 def _tokens(x_map):

@@ -31,13 +31,19 @@ Conventions
   OpenBLAS 0.3.31's SkylakeX kernels), and results do not depend on
   either block size.
 * One rule, :func:`_row_bands`, cuts a map into bands of whole rows, both the
-  conv's row blocks and the bands in which the no-tape feed-forward blocks
-  (``blocks.FFNBlock``, ``blocks.ConvFFNBlock``) run their whole chain, so
-  that their wide hidden map never exists whole (``FFN_BAND_BYTES``). Cuts
-  fall on multiples of 16 columns and keep every GEMM of a band on the whole
-  map's BLAS path; a tape, an empty batch or a map whose size is no multiple
-  of 16 gives one pass. So bands change no bit, and the analyzer's
-  empty-batch trace records what one pass records.
+  conv's row blocks and the bands in which no-tape eval-mode blocks run
+  their whole chain, so that their large maps never exist whole: the
+  feed-forward blocks' hidden map (``FFN_BAND_BYTES``), and the maps of
+  ``blocks.HighResStem`` and ``blocks.HighResBlock`` (``HIRES_BAND_BYTES``).
+  A band's 3x3 convs compute only its rows, from a slab of their input that
+  holds the rows they read (a row window, :class:`Rows`), zero-padded only
+  at the map's true edges. Cuts fall on multiples of 16 columns and keep
+  every GEMM of a band on the whole map's BLAS path, and a GEMM that makes
+  a slab's halo rows, which a cut may start anywhere, has rows of a
+  multiple of 16 columns. A tape, an empty batch, a map whose size is no
+  multiple of 16, or a block in training mode gives one pass. So bands
+  change no bit, and the analyzer's empty-batch trace records what one
+  pass records.
 * ``gelu`` runs SciPy's ``erf`` on ``|x / sqrt(2)|`` and restores the sign
   with ``copysign``. SciPy's ``erf`` computes ``erf(-t)`` as ``-erf(t)``, so
   the bits are those of ``erf(x / sqrt(2))``, but no element takes the
@@ -108,6 +114,19 @@ CONV_PATCH_CAP = 2 << 20
 # is 11.6 MB for ladder row 1@224 and 15.0 MB for row 4@224, against 18.4 and
 # 34.2 MB in one pass; 8 MB would leave row 1 two 6.4 MB bands (13.9 MB).
 FFN_BAND_BYTES = 6 << 20
+# Bytes of a band of the output of a no-tape ``blocks.HighResStem`` or
+# ``blocks.HighResBlock`` (the block cuts its low branch's rows, two output
+# rows each). In a 0.25-2 MB sweep of the HiRI-ViT-S@448 eval forward
+# (tracemalloc, batch 1; in-process interleaved medians, 2 CPUs, OpenBLAS at 2
+# threads), the peak was 10.7, 10.7, 11.0, 11.3, 11.8 and 14.9 MB at 0.25,
+# 0.5, 0.75, 1, 1.5 and 2 MB, against 18.2 MB in one pass; up to 1.5 MB it sits
+# in ``stage1.block2``, above three live 1x32x112x112 maps (9.2 MB), and at 2
+# MB in ``stem.hi_down``. The stem took 47.9, 46.2, 45.7 and 44.0 ms at 0.5,
+# 0.75, 1 and 1.5 MB (7, 5, 4 and 3 bands), against 44.4 ms in one pass, and
+# stage 1 20.9, 20.1, 19.5 and 19.1 ms against 16.8 ms: each band pays its ops'
+# call overheads. FFN_BAND_BYTES cannot serve these blocks: at 6 MB both run
+# in one pass.
+HIRES_BAND_BYTES = 3 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +139,8 @@ class FastBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b)
 
-    def conv2d(self, x, w, bias, stride, padding, groups):
-        return _conv2d_fast(x, w, bias, stride, padding, groups)
+    def conv2d(self, x, w, bias, stride, padding, groups, rows=None):
+        return _conv2d_fast(x, w, bias, stride, padding, groups, rows)
 
 
 _backend = FastBackend()
@@ -338,28 +357,44 @@ def _conv_out_hw(h, w, kh, kw, sh, sw, ph, pw):
     return oh, ow
 
 
+class Rows(NamedTuple):
+    """A row window of a conv: its output rows ``[r0, r1)`` over a map
+    ``height`` rows high, of which the conv's input holds the rows from
+    ``top`` on (a slab), with every row those outputs read."""
+
+    r0: int
+    r1: int
+    top: int
+    height: int
+
+
 class _Windows(NamedTuple):
     """A conv's windows over its unpadded input ``x``.
 
     ``shape`` is that of the ``(N, g, cing, kh, kw, OH, OW)`` window view of
     the zero-padded input, which is never built: :func:`_patches` pads one
-    block at a time.
+    block at a time. Under a row window ``rows``, ``x`` is a slab of the map
+    and ``OH`` counts the window's output rows; otherwise ``rows`` covers the
+    map.
     """
 
     x: np.ndarray
     stride: tuple
     padding: tuple
     shape: tuple
+    rows: Rows
 
     @property
     def itemsize(self) -> int:
         return self.x.itemsize
 
 
-def _windows(x, kh, kw, stride, padding, groups):
+def _windows(x, kh, kw, stride, padding, groups, rows=None):
     n, cin, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, kh, kw, *stride, *padding)
-    return _Windows(x, stride, padding, (n, groups, cin // groups, kh, kw, oh, ow))
+    rows = rows or Rows(0, oh, 0, h)
+    return _Windows(x, stride, padding,
+                    (n, groups, cin // groups, kh, kw, rows.r1 - rows.r0, ow), rows)
 
 
 def _row_bands(rows, cols, row_bytes, cap, col_macs=0, tape=False):
@@ -430,18 +465,20 @@ def _patches(win, g0, g1, r0, r1):
     n, _, cing, kh, kw, _, ow = win.shape
     (sh, sw), (ph, pw) = win.stride, win.padding
     x = win.x[:, g0 * cing:g1 * cing]
-    h, w = x.shape[2:]
+    w = x.shape[3]
+    r0, r1, slab, h = r0 + win.rows.r0, r1 + win.rows.r0, win.rows.top, win.rows.height
     # the block reads padded rows [r0*sh, (r1-1)*sh + kh) and padded columns
-    # [0, (ow-1)*sw + kw); top, bottom and right are in input coordinates
+    # [0, (ow-1)*sw + kw); top, bottom and right are in map coordinates, and
+    # the map's row i is the slab's row i - slab
     top, bottom, right = r0 * sh - ph, (r1 - 1) * sh + kh - ph, (ow - 1) * sw + kw - pw
     if top >= 0 and bottom <= h and not pw:
-        src = x[:, :, top:bottom, :right]
-        owner, offset = win.x, g0 * cing * x.strides[1] + top * x.strides[2]
+        src = x[:, :, top - slab:bottom - slab, :right]
+        owner, offset = win.x, g0 * cing * x.strides[1] + (top - slab) * x.strides[2]
     else:
         src = np.zeros((n, x.shape[1], bottom - top, right + pw), dtype=x.dtype)
         i0 = max(top, 0)
         i1, j1 = max(min(bottom, h), i0), max(min(right, w), 0)
-        src[:, :, i0 - top:i1 - top, pw:pw + j1] = x[:, :, i0:i1, :j1]
+        src[:, :, i0 - top:i1 - top, pw:pw + j1] = x[:, :, i0 - slab:i1 - slab, :j1]
         owner, offset = src, 0
     s0, s1, s2, s3 = src.strides
     shape = (n, g1 - g0, cing, kh, kw, r1 - r0, ow)
@@ -461,10 +498,10 @@ def _group_blocks(win):
         yield g0, g1, _patches(win, g0, g1, 0, oh)
 
 
-def _conv2d_fast(x, w, bias, stride, padding, groups):
+def _conv2d_fast(x, w, bias, stride, padding, groups, rows=None):
     n = x.shape[0]
     cout, cing, kh, kw = w.shape
-    win = _windows(x, kh, kw, stride, padding, groups)
+    win = _windows(x, kh, kw, stride, padding, groups, rows)
     oh, ow = win.shape[-2:]
     w2 = w.reshape(groups, cout // groups, cing * kh * kw)
     out = np.empty((n, groups, cout // groups, oh * ow), dtype=x.dtype)
@@ -521,8 +558,25 @@ def _conv_settings(stride, padding, groups: int):
     return stride, padding
 
 
+def _check_rows(rows: Rows, h: int, oh: int, kh: int, sh: int, ph: int, tape: bool):
+    """Refuse a row window on a tape, or one whose output rows are not in the
+    map or read rows that the slab of ``h`` rows does not hold."""
+    r0, r1, top, height = rows
+    if tape:
+        raise ShapeError("conv2d takes a row window only without a tape")
+    reads = (max(r0 * sh - ph, 0), min((r1 - 1) * sh + kh - ph, height))
+    if not 0 <= r0 < r1 <= oh or reads[0] < top or reads[1] > top + h:
+        raise ShapeError(f"conv2d row window {rows} reads map rows {reads}, but its"
+                         f" input holds rows [{top}, {top + h}) of {height}")
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
+           stride=(1, 1), padding=(0, 0), groups: int = 1, rows: Rows | None = None) -> Tensor:
+    """Cross-correlation of an NCHW map, or, given ``rows``, the output rows
+    ``[rows.r0, rows.r1)`` of the conv over a map of which ``x`` is a slab
+    (:class:`Rows`; without a tape only). A window zero-pads only at the
+    map's true edges, and its rows are bitwise the whole map's wherever the
+    GEMMs that make them stay on the whole map's BLAS path (see the notes)."""
     stride, padding = _conv_settings(stride, padding, groups)
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got {x.shape}")
@@ -536,15 +590,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"weight channel axis {cing} does not match Cin/groups = {cin // groups}")
     sh, sw = stride
     ph, pw = padding
-    oh, ow = _conv_out_hw(h, w_in, kh, kw, sh, sw, ph, pw)
+    oh, ow = _conv_out_hw(h if rows is None else rows.height, w_in, kh, kw, sh, sw, ph, pw)
     if oh < 1 or ow < 1:
         raise ResolutionError(
             f"conv2d output underflows: input {h}x{w_in}, kernel {kh}x{kw},"
             f" stride {sh}x{sw}, padding {ph}x{pw} -> {oh}x{ow}")
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if rows is not None:
+        _check_rows(rows, h, oh, kh, sh, ph, records_tape(parents))
 
     xd, wd, x_grad, has_bias = x.data, weight.data, x.requires_grad, bias is not None
-    data = _backend.conv2d(xd, wd, bias.data if has_bias else None, stride, padding, groups)
-    parents = (x, weight, bias) if has_bias else (x, weight)
+    data = _backend.conv2d(xd, wd, bias.data if has_bias else None, stride, padding, groups,
+                           rows)
 
     coutg = cout // groups
 

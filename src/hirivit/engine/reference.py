@@ -126,5 +126,11 @@ class CountingBackend:
     def matmul(self, a, b):
         return loop_matmul(a, b, self)
 
-    def conv2d(self, x, w, bias, stride, padding, groups):
+    def conv2d(self, x, w, bias, stride, padding, groups, rows=None):
+        if rows is not None:    # the rows the window reads, zero-padded at the map's edges
+            kh, sh, ph = w.shape[2], stride[0], padding[0]
+            top, bottom = rows.r0 * sh - ph, (rows.r1 - 1) * sh + kh - ph
+            x = x[:, :, max(top, 0) - rows.top:min(bottom, rows.height) - rows.top]
+            x = np.pad(x, ((0, 0), (0, 0), (max(-top, 0), max(bottom - rows.height, 0)), (0, 0)))
+            padding = (0, padding[1])
         return loop_conv2d(x, w, bias, stride, padding, groups, self)

@@ -40,8 +40,9 @@ def no_grad():
 def observe(observer):
     """Send the block's events to ``observer``, then restore the previous one.
 
-    ``observer.call(module, x)`` replaces each ``Module.__call__`` and runs
-    ``module.forward(x)`` itself; ``observer.on_result(out, k)`` sees each op
+    ``observer.call(module, x, **kw)`` replaces each ``Module.__call__`` and
+    runs ``module.forward(x, **kw)`` itself (a conv's row window is its only
+    keyword); ``observer.on_result(out, k)`` sees each op
     result with its contraction length ``k`` (0 for an op that contracts none).
     """
     global _observer

@@ -10,7 +10,9 @@ the loop kernels.
 import numpy as np
 import pytest
 
-from hirivit.engine import Tensor, backward, loop_conv2d, loop_conv2d_grads, no_grad, ops
+from hirivit.engine import (CountingBackend, Tensor, backward, loop_conv2d, loop_conv2d_grads,
+                            no_grad, ops)
+from hirivit.errors import ShapeError
 from hirivit.zoo import Model, hiri_config, hiri_micro_config
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,43 @@ def test_conv_matches_the_padded_copy_and_the_loops(name, monkeypatch):
     loops = (loop_conv2d(x, w, b, stride, padding, groups), lgx, lgw)
     for a, c in zip(got, loops):
         assert np.abs(a - c).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_row_windows_match_the_whole_map_and_the_loops(name, monkeypatch):
+    """A row window's output rows (``ops.Rows``), from a slab of the input
+    rows that they read, or of one more row on each side, are the whole
+    map's rows, by the fast kernels and by the counting loops: the first
+    and last rows, one row, and rows in the middle. They are its bits only
+    where the window's GEMMs cut the map's on 16-column steps and stay on
+    its BLAS path, as the row bands do (``tests/test_bands.py``)."""
+    x, w, b, stride, padding, groups = _case(name, monkeypatch)
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    with no_grad():
+        y = ops.conv2d(xt, wt, bt, stride=stride, padding=padding, groups=groups).data
+    loops = loop_conv2d(x, w, b, stride, padding, groups)
+    (oh, h), kh, sh, ph = (y.shape[2], x.shape[2]), w.shape[2], stride[0], padding[0]
+    for r0, r1 in {(0, 1), (0, oh), (oh // 2, oh), (oh // 3, 2 * oh // 3 + 1), (oh - 1, oh)}:
+        reads = max(r0 * sh - ph, 0), max(min((r1 - 1) * sh + kh - ph, h), 0)
+        for top, bottom in {reads, (max(reads[0] - 1, 0), min(reads[1] + 1, h))}:
+            slab, rows = Tensor(x[:, :, top:max(bottom, top)]), ops.Rows(r0, r1, top, h)
+            with no_grad():
+                got = ops.conv2d(slab, wt, bt, stride, padding, groups, rows=rows).data
+                with ops.use_backend(CountingBackend()):
+                    loop = ops.conv2d(slab, wt, bt, stride, padding, groups, rows=rows).data
+            assert np.abs(got - y[:, :, r0:r1]).max() < 1e-12
+            assert np.abs(loop - loops[:, :, r0:r1]).max() < 1e-12
+
+
+def test_a_row_window_needs_its_rows_and_no_tape():
+    x, w = Tensor(np.zeros((1, 2, 8, 8))), Tensor(np.zeros((3, 2, 3, 3)), requires_grad=True)
+    with no_grad():
+        with pytest.raises(ShapeError, match="reads map rows"):
+            ops.conv2d(x, w, padding=1, rows=ops.Rows(2, 6, 2, 16))      # row 1 is not there
+        with pytest.raises(ShapeError, match="reads map rows"):
+            ops.conv2d(x, w, padding=1, rows=ops.Rows(0, 17, 0, 16))     # the map has 16
+    with pytest.raises(ShapeError, match="without a tape"):
+        ops.conv2d(x, w, padding=1, rows=ops.Rows(0, 4, 0, 16))
 
 
 def test_unpadded_1x1_stride1_patches_view_a_contiguous_input():

@@ -158,16 +158,6 @@ def test_layer_norm_bitwise_equals_the_formula(layout, taped, x_dtype):
     assert y.data.tobytes() == ref.tobytes() and y.data.strides == ref.strides
 
 
-def test_scale_keeps_the_dtype_of_a_times_s():
-    """A float64 factor promotes a float32 input, so it gets a new array."""
-    xs = XS.astype(np.float32)
-    with no_grad():
-        y = ops.scale(Tensor(xs), np.float64(0.37), inplace=True)
-    ref = xs * np.float64(0.37)
-    assert y.data.dtype == ref.dtype == np.float64
-    assert y.data.tobytes() == ref.tobytes() and not np.shares_memory(y.data, xs)
-
-
 # ---------------------------------------------------------------------------
 # whole blocks and builds: inputs kept, logits bitwise with the grants off
 # ---------------------------------------------------------------------------
