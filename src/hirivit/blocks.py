@@ -15,7 +15,10 @@ Without a tape and in eval mode, the feed-forward blocks (``FFNBlock``,
 (``HighResBlock``) run their chain over bands of whole rows of a large map
 (``ops._row_bands``, through :func:`_bands`), so an observer sees one call of
 each part per band. A tape, training mode and the empty batch that ``trace``
-runs give one pass, so the cost records are one pass's.
+runs give one pass, so the cost records are one pass's. The stem and the
+feed-forward blocks state their chain once, as ``_band(x, r0, r1)``, the
+output rows ``[r0, r1)``, and their one pass is the band of the whole map
+(:func:`_in_bands`).
 """
 
 from __future__ import annotations
@@ -369,7 +372,8 @@ class HighResStem(Module):
     over bands of output rows, each written into one output map. Each conv
     of a band computes the rows that the next one reads, halo rows included,
     from those its input holds (``ops.Rows``); the halo rows are computed
-    again by the next band. Every output is bitwise that of one pass.
+    again by the next band. One pass is the band of the whole map, and every
+    banded output is bitwise that of one pass.
     """
 
     def __init__(self, cin, cout):
@@ -395,18 +399,7 @@ class HighResStem(Module):
         n, c, h, w = x.shape
         if h % 4 or w % 4:
             raise ResolutionError(f"stem input {h}x{w} not divisible by 4")
-        bounds = self._bounds(x)
-        if len(bounds) == 2:
-            e = self.entry_act(self.entry_norm(self.entry(x)))
-            hi = self.hi_down(self.hi_act(self.hi_norm(self.hi_dw(e))))
-            lo = self.lo_act1(self.lo_norm1(self.lo_down(e)))
-            del e           # the half-resolution map: both branches have read it
-            lo = self.lo_act2(self.lo_norm2(self.lo_expand(lo)))
-            lo = self.lo_project(lo)
-            return self.out_norm(ops.add(hi, lo, inplace=True))
-        shape = (n, self.out_norm.gamma.shape[0], h // 4, w // 4)
-        return _stitch(shape, ((r0, r1, self._band(x, r0, r1))
-                               for r0, r1 in zip(bounds, bounds[1:])))
+        return _in_bands(self, x, (n, self.out_norm.gamma.shape[0], h // 4, w // 4))
 
     def _bounds(self, x):
         """Output-row boundaries of the bands (:func:`_bands`): one pass unless
@@ -431,7 +424,7 @@ class HighResStem(Module):
         hi = self.hi_down(d, rows=ops.Rows(r0, r1, hi0, h // 2))
         del d
         lo = self.lo_act1(self.lo_norm1(self.lo_down(e, rows=ops.Rows(lo0, lo1, e0, h // 2))))
-        del e
+        del e           # the half-resolution rows: both branches have read them
         lo = self.lo_act2(self.lo_norm2(self.lo_expand(lo, rows=ops.Rows(r0, r1, lo0, h // 4))))
         return self.out_norm(ops.add(hi, self.lo_project(lo), inplace=True))
 
@@ -614,14 +607,21 @@ def _bands(block, x, weight, rows, cols, channels, col_macs, cap):
 
 
 def _rows(x, r0, r1):
-    return Tensor(x.data[:, :, r0:r1])
+    """Rows ``[r0, r1)`` of ``x``: ``x`` itself for all of them, so a tape
+    stays connected, otherwise a view without a tape."""
+    return x if (r0, r1) == (0, x.shape[2]) else Tensor(x.data[:, :, r0:r1])
 
 
-def _stitch(shape, bands):
-    """One map of ``shape`` from ``(r0, r1, result)``: each band's rows."""
+def _in_bands(block, x, shape):
+    """``block``'s output of ``shape`` over the bands of ``block._bounds(x)``:
+    in one band ``block._band(x, 0, rows)`` itself, otherwise each band's
+    rows written into one map."""
+    bounds = block._bounds(x)
+    if len(bounds) == 2:
+        return block._band(x, 0, bounds[1])
     out = np.empty(shape)
-    for r0, r1, y in bands:
-        out[:, :, r0:r1] = y.data
+    for r0, r1 in zip(bounds, bounds[1:]):
+        out[:, :, r0:r1] = block._band(x, r0, r1).data
     return Tensor(out, op="add")
 
 
@@ -634,13 +634,15 @@ class ConvFFNBlock(Module):
     Without a tape and in eval mode, a hidden map above
     ``ops.FFN_BAND_BYTES`` is never built whole: the chain runs over bands of
     whole rows (:func:`ops._row_bands`), each written into one output map,
-    so an observer sees the chain's calls once per band. A band's depth-wise
-    conv runs on its own hidden rows, so its rows next to a cut first read
-    the conv's zero padding. Those rows are then mended: the next band's
-    hidden rows are computed (one band of lookahead, so at most two bands of
-    the hidden map are alive), and one more call of the conv per cut runs on
-    the two hidden rows on each side of it, which gives the true values of
-    the two rows next to it. Every output is bitwise that of one pass.
+    so an observer sees the chain's calls once per band. A band computes its
+    hidden rows and one cut unit of rows on each side of them (``16 //
+    gcd(W, 16)``, the step of :func:`ops._row_bands`), clipped to the map,
+    and its depth-wise conv computes only the band's rows from those
+    (``ops.Rows``). A whole unit keeps every GEMM of the band on a multiple
+    of 16 columns, where a single halo row would not. The residual is
+    written into the conv's output, and the hidden rows are dropped before
+    the projection. One pass is the band of the whole map, and every banded
+    output is bitwise that of one pass.
     """
 
     def __init__(self, channels, expansion, norm="bn"):
@@ -652,61 +654,27 @@ class ConvFFNBlock(Module):
         self.dw = Conv2d(e * c, e * c, 3, groups=e * c)
         self.fc2 = Conv2d(e * c, c, 1)
 
-    def _hidden(self, x):
-        return self.act(self.fc1(self.pre_norm(x)))
-
-    def _project(self, x, z):
-        return ops.add(x, self.fc2(z), inplace=True)
-
     def _bounds(self, x):
         """Row boundaries of the bands (:func:`_bands`): a band of the hidden
-        map and its lookahead."""
+        map and of its depth-wise conv's output."""
         fc1 = self.fc1.weight
         return _bands(self, x, fc1, *x.shape[2:], 2 * fc1.shape[0], fc1.size,
                       ops.FFN_BAND_BYTES)
 
     def forward(self, x):
-        bounds = self._bounds(x)
-        if len(bounds) == 2:
-            z = self._hidden(x)
-            return self._project(x, ops.add(self.dw(z), z, inplace=True))
-        return _stitch(x.shape, self._banded(x, list(zip(bounds, bounds[1:]))))
+        return _in_bands(self, x, x.shape)
 
-    def _banded(self, x, spans):
-        """Yield ``(r0, r1, output)`` for each band of output rows."""
-        ahead, above = self._hidden(_rows(x, *spans[0])), None
-        for i, (r0, r1) in enumerate(spans):
-            z, rb = ahead, r1 - r0
-            # the hidden rows a mend reads, kept from before the residual
-            keep = sorted({0, max(rb - 2, 0), rb - 1})
-            near = dict(zip(keep, np.split(z.data[:, :, keep], len(keep), axis=2)))
-            z = ops.add(self.dw(z), z, inplace=True)
-            if i:                       # row 0 with its conv from the cut above
-                np.add(first, near[0][:, :, 0], out=z.data[:, :, 0])
-            ahead = self._hidden(_rows(x, *spans[i + 1])) if i + 1 < len(spans) else None
-            if ahead is not None:
-                first = self._mend(z.data, near.get(rb - 2, above), near[rb - 1], ahead.data)
-            above = near[rb - 1]
-            yield r0, r1, self._project(_rows(x, r0, r1), z)
-
-    def _mend(self, z, up, last, below):
-        """Redo ``z = dw(z) + z`` on the last row of band ``z`` across its cut,
-        and return the conv of the first row of the band ``below``.
-
-        ``last`` and ``up`` are band ``z``'s last two hidden rows before the
-        residual (``up`` is ``None`` above the map's top: zero padding). The
-        conv runs on ``up``, ``last`` and the first two rows of ``below``:
-        four rows, or three when ``below`` has one row, which only a width
-        that 16 divides allows. So its matrix-vector products have a multiple
-        of 4 columns and no ragged tail, which OpenBLAS sums on another path.
-        After a one-row ``below`` the conv reads zero padding, right only if
-        ``below`` is the last band; otherwise its row, also its last, is
-        mended again at its own cut.
-        """
-        rows = [np.zeros_like(last) if up is None else up, last, below[:, :, :2]]
-        e = self.dw(Tensor(np.concatenate(rows, axis=2))).data
-        np.add(e[:, :, 1], last[:, :, 0], out=z[:, :, -1])
-        return e[:, :, 2].copy()
+    def _band(self, x, r0, r1):
+        """Output rows ``[r0, r1)``: ``x + FC2(DW(z) + z)`` of them, ``z``
+        computed with the halo rows that ``dw`` reads."""
+        h, w = x.shape[2:]
+        unit = 16 // math.gcd(w, 16)
+        t0, t1 = max(r0 - unit, 0), min(r1 + unit, h)
+        z = self.act(self.fc1(self.pre_norm(_rows(x, t0, t1))))
+        y = ops.add(_rows(z, r0 - t0, r1 - t0), self.dw(z, rows=ops.Rows(r0, r1, t0, h)),
+                    inplace=True)
+        del z
+        return ops.add(_rows(x, r0, r1), self.fc2(y), inplace=True)
 
 
 class FFNBlock(Module):
@@ -725,21 +693,18 @@ class FFNBlock(Module):
         self.act = GELU()
         self.fc2 = Conv2d(e * c, c, 1)
 
-    def _chain(self, x):
-        y = self.fc2(self.act(self.fc1(self.pre_norm(x))))
-        return ops.add(x, y, inplace=True)
-
     def _bounds(self, x):
         """Row boundaries of the bands (:func:`_bands`): a band of the hidden map."""
         fc1 = self.fc1.weight
         return _bands(self, x, fc1, *x.shape[2:], fc1.shape[0], fc1.size, ops.FFN_BAND_BYTES)
 
     def forward(self, x):
-        bounds = self._bounds(x)
-        if len(bounds) == 2:
-            return self._chain(x)
-        return _stitch(x.shape, ((r0, r1, self._chain(_rows(x, r0, r1)))
-                                 for r0, r1 in zip(bounds, bounds[1:])))
+        return _in_bands(self, x, x.shape)
+
+    def _band(self, x, r0, r1):
+        """Output rows ``[r0, r1)``."""
+        x = _rows(x, r0, r1)
+        return ops.add(x, self.fc2(self.act(self.fc1(self.pre_norm(x)))), inplace=True)
 
 
 def _tokens(x_map):

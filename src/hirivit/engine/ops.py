@@ -37,13 +37,15 @@ Conventions
   ``blocks.HighResStem`` and ``blocks.HighResBlock`` (``HIRES_BAND_BYTES``).
   A band's 3x3 convs compute only its rows, from a slab of their input that
   holds the rows they read (a row window, :class:`Rows`), zero-padded only
-  at the map's true edges. Cuts fall on multiples of 16 columns and keep
-  every GEMM of a band on the whole map's BLAS path, and a GEMM that makes
-  a slab's halo rows, which a cut may start anywhere, has rows of a
-  multiple of 16 columns. A tape, an empty batch, a map whose size is no
-  multiple of 16, or a block in training mode gives one pass. So bands
-  change no bit, and the analyzer's empty-batch trace records what one
-  pass records.
+  at the map's true edges. A window over the whole map is no window, so a
+  block's one pass is its band of the whole map, tape or not. Cuts fall on
+  multiples of 16 columns and keep every GEMM of a band on the whole map's
+  BLAS path, and a GEMM that makes a slab's halo rows either has rows of a
+  multiple of 16 columns (the stem's) or makes whole cut units of them
+  (``blocks.ConvFFNBlock``'s). A tape, an empty batch, a map whose
+  size is no multiple of 16, or a block in training mode gives one pass.
+  So bands change no bit, and the analyzer's empty-batch trace records what
+  one pass records.
 * ``gelu`` runs SciPy's ``erf`` on ``|x / sqrt(2)|`` and restores the sign
   with ``copysign``. SciPy's ``erf`` computes ``erf(-t)`` as ``-erf(t)``, so
   the bits are those of ``erf(x / sqrt(2))``, but no element takes the
@@ -105,14 +107,16 @@ CONV_BLOCK_BYTES = 1 << 19
 CONV_PATCH_CAP = 2 << 20
 # Bytes of the hidden map that a no-tape feed-forward block holds at once when
 # it runs in row bands (``blocks.FFNBlock`` one band, ``blocks.ConvFFNBlock`` a
-# band and its lookahead; see :func:`_row_bands`). Narrower GEMMs run slower:
-# in a 2-16 MB sweep of the ladder-row-1@224 eval forward (60 interleaved
-# pairs against one pass, 2 CPUs, OpenBLAS at 2 threads) the median forward
-# cost +5.4, +6.7, +5.0, +1.9, +2.5 and +0.3% at 2, 3, 4, 5, 6 and 8 MB. 5
-# and 6 MB give that model the same bands, within 3%; 6 MB gives the stage-3
-# blocks of HiRI-ViT-S two bands instead of three. Its tracemalloc eval peak
-# is 11.6 MB for ladder row 1@224 and 15.0 MB for row 4@224, against 18.4 and
-# 34.2 MB in one pass; 8 MB would leave row 1 two 6.4 MB bands (13.9 MB).
+# band, its halo rows and its depth-wise conv's output; see :func:`_row_bands`).
+# Narrower GEMMs run slower: in a 2-16 MB sweep of the ladder-row-1@224 eval
+# forward (60 interleaved pairs against one pass, 2 CPUs, OpenBLAS at 2
+# threads) the median forward cost +5.4, +6.7, +5.0, +1.9, +2.5 and +0.3% at
+# 2, 3, 4, 5, 6 and 8 MB. 5 and 6 MB give that model the same bands, within
+# 3%; 6 MB gives the stage-3 blocks of HiRI-ViT-S two bands instead of three.
+# Its tracemalloc eval peak is 11.1 MB for ladder row 1@224 and 11.7 MB for
+# row 4@224, against 18.4 and 34.2 MB in one pass; 8 MB would leave row 1 two
+# 6.4 MB bands (13.9 MB, measured while a band's result outlived the next
+# band's chain).
 FFN_BAND_BYTES = 6 << 20
 # Bytes of a band of the output of a no-tape ``blocks.HighResStem`` or
 # ``blocks.HighResBlock`` (the block cuts its low branch's rows, two output
@@ -574,7 +578,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), padding=(0, 0), groups: int = 1, rows: Rows | None = None) -> Tensor:
     """Cross-correlation of an NCHW map, or, given ``rows``, the output rows
     ``[rows.r0, rows.r1)`` of the conv over a map of which ``x`` is a slab
-    (:class:`Rows`; without a tape only). A window zero-pads only at the
+    (:class:`Rows`; without a tape only, unless it covers the whole map,
+    ``Rows(0, OH, 0, H)``, which is no window). A window zero-pads only at the
     map's true edges, and its rows are bitwise the whole map's wherever the
     GEMMs that make them stay on the whole map's BLAS path (see the notes)."""
     stride, padding = _conv_settings(stride, padding, groups)
@@ -596,6 +601,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d output underflows: input {h}x{w_in}, kernel {kh}x{kw},"
             f" stride {sh}x{sw}, padding {ph}x{pw} -> {oh}x{ow}")
     parents = (x, weight) if bias is None else (x, weight, bias)
+    if rows == (0, oh, 0, h):       # a window over the whole map is no window
+        rows = None
     if rows is not None:
         _check_rows(rows, h, oh, kh, sh, ph, records_tape(parents))
 

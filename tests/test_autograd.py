@@ -438,8 +438,8 @@ class _DataSpy:
     def __init__(self):
         self.results = []
 
-    def call(self, module, x):
-        return module.forward(x)
+    def call(self, module, x, **kw):
+        return module.forward(x, **kw)
 
     def on_result(self, out, k):
         self.results.append((out.op, weakref.ref(out.data)))

@@ -152,25 +152,29 @@ def test_banded_forward_keeps_its_input(kind, monkeypatch):
 
 
 def test_observer_sees_one_call_per_band(monkeypatch):
-    block = _block("ffn", 64, 4, "ln")
-    x = np.random.default_rng(5).standard_normal((1, 64, 28, 28))
-    monkeypatch.setattr(ops, "FFN_BAND_BYTES", _cap(block, x, 2))
+    """Each part of the chain, a ConvFFNBlock's depth-wise conv too, is
+    called once per band: no extra call mends the rows next to a cut."""
 
     class Calls:
         def __init__(self):
             self.modules = []
 
-        def call(self, module, t):
+        def call(self, module, t, **kw):
             self.modules.append(module)
-            return module.forward(t)
+            return module.forward(t, **kw)
 
         def on_result(self, out, k):
             pass
 
-    with no_grad(), observe(Calls()) as seen:
-        block(Tensor(x))
-    assert seen.modules.count(block) == 1
-    assert seen.modules.count(block.fc1) == 4 == seen.modules.count(block.fc2)
+    x = np.random.default_rng(5).standard_normal((1, 64, 28, 28))
+    for kind in ("ffn", "cffn"):
+        block = _block(kind, 64, 4, "ln")
+        monkeypatch.setattr(ops, "FFN_BAND_BYTES", _cap(block, x, 2))
+        with no_grad(), observe(Calls()) as seen:
+            block(Tensor(x))
+        parts = [block.fc1, block.fc2] + ([block.dw] if kind == "cffn" else [])
+        assert seen.modules.count(block) == 1
+        assert [seen.modules.count(part) for part in parts] == [4] * len(parts), kind
 
 
 def test_taped_forward_is_one_pass(monkeypatch):
@@ -279,9 +283,17 @@ def test_ladder_row1_eval_peak_is_under_one_hidden_map(peak_bytes):
 def test_ladder_row4_eval_peak_is_under_one_hidden_map(peak_bytes):
     """A stage-1 ConvFFNBlock of row 4 expands 64 channels tenfold at 56x56: a
     16.1 MB map, held whole with its depth-wise conv's output by one pass
-    (34.2 MB peak); bands hold two bands of it and a few mended rows."""
+    (34.2 MB peak); bands hold two bands of it."""
     hidden = 64 * 10 * 56 * 56 * 8
     assert _eval_peak(4, peak_bytes) < hidden
+
+
+def test_ladder_row4_eval_peak_holds_no_band_of_lookahead(peak_bytes):
+    """A ConvFFNBlock band holds its hidden rows with one cut unit of halo
+    rows on each side and its depth-wise conv's output, and drops the hidden
+    rows before the projection. With a band of lookahead alive as well, the
+    peak was 14.97 MB (2**20 bytes); without it, 11.74 MB."""
+    assert _eval_peak(4, peak_bytes) < 12.04 * 2**20
 
 
 def test_s448_eval_peak_is_under_four_stage1_maps(peak_bytes):
@@ -296,18 +308,22 @@ def test_s448_eval_peak_is_under_four_stage1_maps(peak_bytes):
         assert peak_bytes(lambda: model(x)) < 4 * 32 * 112 * 112 * 8
 
 
-# each banded block at a size where OpenBLAS runs its GEMMs on two threads
+# each banded block at a size where OpenBLAS runs its GEMMs on two threads, at
+# a bound of 1 byte, and HiRI-ViT-S@448's stage-3 block at the shipped bound:
+# two bands of 4-row units, where a halo of one row instead of one unit breaks
+# bits at either thread count
 _BITS_SCRIPT = """
 import numpy as np
 from hirivit import blocks
 from hirivit.engine import Tensor, no_grad, ops
 
-cases = [(blocks.HighResStem(3, 32), (1, 3, 448, 448)),
-         (blocks.HighResBlock(32, 4), (1, 32, 112, 112)),
-         (blocks.FFNBlock(64, 8, norm="ln"), (1, 64, 56, 56)),
-         (blocks.ConvFFNBlock(64, 8, norm="bn"), (1, 64, 56, 56))]
+cases = [(blocks.HighResStem(3, 32), (1, 3, 448, 448), 1),
+         (blocks.HighResBlock(32, 4), (1, 32, 112, 112), 1),
+         (blocks.FFNBlock(64, 8, norm="ln"), (1, 64, 56, 56), 1),
+         (blocks.ConvFFNBlock(64, 8, norm="bn"), (1, 64, 56, 56), 1),
+         (blocks.ConvFFNBlock(128, 6, norm="bn"), (1, 128, 28, 28), ops.FFN_BAND_BYTES)]
 rng = np.random.default_rng(9)
-for block, shape in cases:
+for block, shape, cap in cases:
     for path, t, _ in block.eval().named_entries():
         t.data[...] = (rng.uniform(0.5, 2.0, t.shape) if path.endswith("running_var")
                        else rng.standard_normal(t.shape) * 0.2)
@@ -315,7 +331,7 @@ for block, shape in cases:
     with no_grad():
         ops.FFN_BAND_BYTES = ops.HIRES_BAND_BYTES = 1 << 62
         whole = block(x).data
-        ops.FFN_BAND_BYTES = ops.HIRES_BAND_BYTES = 1
+        ops.FFN_BAND_BYTES = ops.HIRES_BAND_BYTES = cap
         bands = len(block._bounds(x)) - 1
         print(type(block).__name__, bands, block(x).data.tobytes() == whole.tobytes())
 """
@@ -332,5 +348,6 @@ def test_bands_are_bitwise_one_pass_at_one_and_two_blas_threads(threads):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = [ln.split() for ln in run.stdout.splitlines()]
-    assert [ln[0] for ln in lines] == ["HighResStem", "HighResBlock", "FFNBlock", "ConvFFNBlock"]
+    assert [ln[0] for ln in lines] == ["HighResStem", "HighResBlock", "FFNBlock",
+                                       "ConvFFNBlock", "ConvFFNBlock"]
     assert all(int(bands) > 1 and same == "True" for _, bands, same in lines), run.stdout

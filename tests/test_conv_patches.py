@@ -212,6 +212,21 @@ def test_row_windows_match_the_whole_map_and_the_loops(name, monkeypatch):
             assert np.abs(loop - loops[:, :, r0:r1]).max() < 1e-12
 
 
+@pytest.mark.parametrize("name", ["3x3_pad3", "depthwise_batch3", "depthwise_stride2"])
+def test_a_whole_map_window_is_the_plain_conv_on_a_tape(name, monkeypatch):
+    """``Rows(0, OH, 0, H)`` is no window: a block's one pass, its band of the
+    whole map, runs on a tape, with the plain conv's output and gradients."""
+    x, w, b, stride, padding, groups = _case(name, monkeypatch)
+    oh = ops._conv_out_hw(*x.shape[2:], *w.shape[2:], *stride, *padding)[0]
+    runs = []
+    for rows in (None, ops.Rows(0, oh, 0, x.shape[2])):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = ops.conv2d(xt, wt, bt, stride, padding, groups, rows=rows)
+        backward(ops.tsum(ops.mul(y, Tensor(np.random.default_rng(30).standard_normal(y.shape)))))
+        runs.append([t.tobytes() for t in (y.data, xt.grad, wt.grad, bt.grad)])
+    assert runs[0] == runs[1]
+
+
 def test_a_row_window_needs_its_rows_and_no_tape():
     x, w = Tensor(np.zeros((1, 2, 8, 8))), Tensor(np.zeros((3, 2, 3, 3)), requires_grad=True)
     with no_grad():

@@ -117,9 +117,9 @@ class _Spy:
     def __init__(self):
         self.calls, self.results = 0, []      # results: (op, k) of each op result
 
-    def call(self, module, x):
+    def call(self, module, x, **kw):
         self.calls += 1
-        return module.forward(x)
+        return module.forward(x, **kw)
 
     def on_result(self, out, k):
         self.results.append((out.op, k))
