@@ -15,10 +15,9 @@ Without a tape and in eval mode, the feed-forward blocks (``FFNBlock``,
 (``HighResBlock``) run their chain over bands of whole rows of a large map
 (``ops._row_bands``, through :func:`_bands`), so an observer sees one call of
 each part per band. A tape, training mode and the empty batch that ``trace``
-runs give one pass, so the cost records are one pass's. The stem and the
-feed-forward blocks state their chain once, as ``_band(x, r0, r1)``, the
-output rows ``[r0, r1)``, and their one pass is the band of the whole map
-(:func:`_in_bands`).
+runs give one pass, so the cost records are one pass's. Each of the four
+states its chain once, as ``_band(x, r0, r1)``, the output rows ``[r0, r1)``,
+and its one pass is the band of the whole map (:func:`_in_bands`).
 """
 
 from __future__ import annotations
@@ -441,8 +440,9 @@ class HighResBlock(Module):
     the chain over bands of rows, written into one output map, so neither
     the pre-norm map nor the upsampled low branch exists whole. A band
     normalizes its rows and the row on each side of them, and both
-    depth-wise convs compute its rows from those (``ops.Rows``). Every
-    output is bitwise that of one pass.
+    depth-wise convs compute its rows from those (``ops.Rows``). One pass is
+    the band of the whole map, and every banded output is bitwise that of
+    one pass.
     """
 
     def __init__(self, channels, expansion):
@@ -461,43 +461,33 @@ class HighResBlock(Module):
         if h % 2 or w % 2:
             raise ResolutionError(
                 f"high-resolution block needs even spatial extents, got {h}x{w}")
-        bounds = self._bounds(x)
-        if len(bounds) == 2:
-            z = self.pre_norm(x)
-            hi = self.hi_dw(z)
-            lo = self.lo_dw(z)
-            del z           # both branches have read it
-            lo = self.lo_fc2(self.lo_act(self.lo_fc1(self.lo_norm(lo))))
-            lo = ops.upsample_repeat(lo, 2)
-            return ops.add(ops.add(x, hi, inplace=True), lo, inplace=True)
-        out = np.empty(x.shape)
-        for r0, r1 in zip(bounds, bounds[1:]):
-            self._band(x, r0, r1, out)
-        return Tensor(out, op="add")
+        return _in_bands(self, x, x.shape)
 
     def _bounds(self, x):
         """Output-row boundaries of the bands (:func:`_bands`), cut as the low
-        branch's map is, two output rows a row. No GEMM makes halo rows: only
-        the elementwise ``pre_norm`` does."""
+        branch's map is, two output rows a row. A low row counts ``6 * c``
+        channels of its columns, three halves of the two output rows it
+        makes: a band holds its high branch beside its pre-norm rows and its
+        low chain. No GEMM makes halo rows: only the elementwise ``pre_norm``
+        does."""
         n, c, h, w = x.shape
-        low = _bands(self, x, self.hi_dw.weight, h // 2, w // 2, 4 * c,
+        low = _bands(self, x, self.hi_dw.weight, h // 2, w // 2, 6 * c,
                      self.lo_fc1.weight.size, ops.HIRES_BAND_BYTES)
         return [2 * r for r in low]
 
-    def _band(self, x, r0, r1, out):
-        """Write output rows ``[r0, r1)`` into ``out``: ``x`` plus the high
-        branch, then the low branch, repeated along its columns only, added
-        through a view of the rows in pairs."""
-        n, c, h, w = x.shape
+    def _band(self, x, r0, r1):
+        """Output rows ``[r0, r1)``: ``x + hi + upsample(lo)`` of them, the
+        pre-norm rows computed with the row on each side that both depth-wise
+        convs read."""
+        h = x.shape[2]
         top = max(r0 - 1, 0)
         z = self.pre_norm(_rows(x, top, min(r1 + 1, h)))
-        np.add(x.data[:, :, r0:r1], self.hi_dw(z, rows=ops.Rows(r0, r1, top, h)).data,
-               out=out[:, :, r0:r1])
+        hi = self.hi_dw(z, rows=ops.Rows(r0, r1, top, h))
         lo = self.lo_dw(z, rows=ops.Rows(r0 // 2, r1 // 2, top, h))
-        del z
+        del z           # both branches have read it
         lo = self.lo_fc2(self.lo_act(self.lo_fc1(self.lo_norm(lo))))
-        pairs = out.reshape(n, c, h // 2, 2, w)[:, :, r0 // 2:r1 // 2]
-        np.add(pairs, np.repeat(lo.data, 2, axis=3)[:, :, :, None], out=pairs)
+        lo = ops.upsample_repeat(lo, 2)
+        return ops.add(ops.add(_rows(x, r0, r1), hi, inplace=True), lo, inplace=True)
 
 
 def _resolve_resize(in_grid: int | None, out_grid: int | None):

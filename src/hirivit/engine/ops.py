@@ -120,16 +120,19 @@ CONV_PATCH_CAP = 2 << 20
 FFN_BAND_BYTES = 6 << 20
 # Bytes of a band of the output of a no-tape ``blocks.HighResStem`` or
 # ``blocks.HighResBlock`` (the block cuts its low branch's rows, two output
-# rows each). In a 0.25-2 MB sweep of the HiRI-ViT-S@448 eval forward
-# (tracemalloc, batch 1; in-process interleaved medians, 2 CPUs, OpenBLAS at 2
-# threads), the peak was 10.7, 10.7, 11.0, 11.3, 11.8 and 14.9 MB at 0.25,
-# 0.5, 0.75, 1, 1.5 and 2 MB, against 18.2 MB in one pass; up to 1.5 MB it sits
-# in ``stage1.block2``, above three live 1x32x112x112 maps (9.2 MB), and at 2
-# MB in ``stem.hi_down``. The stem took 47.9, 46.2, 45.7 and 44.0 ms at 0.5,
-# 0.75, 1 and 1.5 MB (7, 5, 4 and 3 bands), against 44.4 ms in one pass, and
-# stage 1 20.9, 20.1, 19.5 and 19.1 ms against 16.8 ms: each band pays its ops'
-# call overheads. FFN_BAND_BYTES cannot serve these blocks: at 6 MB both run
-# in one pass.
+# rows each, and counts them one and a half times: a band holds its high
+# branch beside its pre-norm rows and its low chain). In a sweep of the
+# HiRI-ViT-S@448 eval forward (tracemalloc, batch 1, seed-0 weights and
+# input), the peak was 11.0, 11.4 and 11.7 MB at 0.75, 1 and 1.5 MB, each in
+# ``stage1.block2.lo_dw`` above three live 1x32x112x112 maps (9.2 MB),
+# against 18.2 MB in one pass; the stem ran 5, 4 and 3 bands and a stage-1
+# block 7, 5 and 4. Counted by its output rows alone, a stage-1 block ran 3
+# bands at 1.5 MB and the peak was 12.4 MB. In ten alternating process
+# pairs (medians of 15 forwards, 2 CPUs, OpenBLAS at 2 threads) the stem took
+# 57.5, 55.8 and 65.0 ms and stage 1 26.2, 25.0 and 30.0 ms. Each band pays
+# its ops' call overheads, but the stem's quartiles spanned 16-22 ms and
+# stage 1's 5-8 ms, so the sweep ranks no bound by time. FFN_BAND_BYTES
+# cannot serve these blocks: at 6 MB both run in one pass.
 HIRES_BAND_BYTES = 3 << 19
 
 

@@ -63,8 +63,8 @@ def _cap(block, x, units_per_band):
     n, c, h, w = x.shape
     if isinstance(block, blocks.HighResStem):       # a unit is one output row
         return units_per_band * n * block.out_norm.gamma.shape[0] * (w // 4) * 8
-    if isinstance(block, blocks.HighResBlock):      # cut as its low map: two rows a row
-        return units_per_band * (16 // np.gcd(w // 2, 16)) * 2 * n * c * w * 8
+    if isinstance(block, blocks.HighResBlock):      # cut as its low map, 6 * c a row
+        return units_per_band * (16 // np.gcd(w // 2, 16)) * 3 * n * c * w * 8
     unit = 16 // np.gcd(w, 16)
     hidden_row = n * block.fc1.weight.shape[0] * w * 8
     alive = 2 if isinstance(block, blocks.ConvFFNBlock) else 1
@@ -151,9 +151,19 @@ def test_banded_forward_keeps_its_input(kind, monkeypatch):
     assert x.tobytes() == keep.tobytes()
 
 
+# (kind, channels, side, units per band, parts): four bands each
+OBSERVED = [
+    ("ffn", 64, 28, 2, ("fc1", "fc2")),
+    ("cffn", 64, 28, 2, ("fc1", "fc2", "dw")),
+    ("hires", 16, 32, 4, ("pre_norm", "hi_dw", "lo_dw", "lo_fc1", "lo_fc2")),
+    ("stem", 16, 64, 4, ("entry", "hi_dw", "hi_down", "lo_down", "lo_expand", "lo_project")),
+]
+
+
 def test_observer_sees_one_call_per_band(monkeypatch):
-    """Each part of the chain, a ConvFFNBlock's depth-wise conv too, is
-    called once per band: no extra call mends the rows next to a cut."""
+    """Each part of the chain, a ConvFFNBlock's depth-wise conv and both
+    branches of the high-resolution blocks too, is called once per band: no
+    extra call mends the rows next to a cut."""
 
     class Calls:
         def __init__(self):
@@ -166,15 +176,15 @@ def test_observer_sees_one_call_per_band(monkeypatch):
         def on_result(self, out, k):
             pass
 
-    x = np.random.default_rng(5).standard_normal((1, 64, 28, 28))
-    for kind in ("ffn", "cffn"):
-        block = _block(kind, 64, 4, "ln")
-        monkeypatch.setattr(ops, "FFN_BAND_BYTES", _cap(block, x, 2))
+    for kind, c, side, units, parts in OBSERVED:
+        block = _block(kind, c, 4, "ln")
+        x = _input(kind, 1, c, side, side, seed=5)
+        monkeypatch.setattr(ops, _bound(block), _cap(block, x, units))
         with no_grad(), observe(Calls()) as seen:
             block(Tensor(x))
-        parts = [block.fc1, block.fc2] + ([block.dw] if kind == "cffn" else [])
-        assert seen.modules.count(block) == 1
-        assert [seen.modules.count(part) for part in parts] == [4] * len(parts), kind
+        assert seen.modules.count(block) == 1, kind
+        calls = [seen.modules.count(getattr(block, part)) for part in parts]
+        assert calls == [4] * len(parts), kind
 
 
 def test_taped_forward_is_one_pass(monkeypatch):
@@ -309,7 +319,8 @@ def test_s448_eval_peak_is_under_four_stage1_maps(peak_bytes):
 
 
 # each banded block at a size where OpenBLAS runs its GEMMs on two threads, at
-# a bound of 1 byte, and HiRI-ViT-S@448's stage-3 block at the shipped bound:
+# a bound of 1 byte; HiRI-ViT-S@448's stem and stage-1 block at the shipped
+# bound, the bands that model runs; and its stage-3 block at the shipped bound:
 # two bands of 4-row units, where a halo of one row instead of one unit breaks
 # bits at either thread count
 _BITS_SCRIPT = """
@@ -318,7 +329,9 @@ from hirivit import blocks
 from hirivit.engine import Tensor, no_grad, ops
 
 cases = [(blocks.HighResStem(3, 32), (1, 3, 448, 448), 1),
+         (blocks.HighResStem(3, 32), (1, 3, 448, 448), ops.HIRES_BAND_BYTES),
          (blocks.HighResBlock(32, 4), (1, 32, 112, 112), 1),
+         (blocks.HighResBlock(32, 4), (1, 32, 112, 112), ops.HIRES_BAND_BYTES),
          (blocks.FFNBlock(64, 8, norm="ln"), (1, 64, 56, 56), 1),
          (blocks.ConvFFNBlock(64, 8, norm="bn"), (1, 64, 56, 56), 1),
          (blocks.ConvFFNBlock(128, 6, norm="bn"), (1, 128, 28, 28), ops.FFN_BAND_BYTES)]
@@ -348,6 +361,7 @@ def test_bands_are_bitwise_one_pass_at_one_and_two_blas_threads(threads):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = [ln.split() for ln in run.stdout.splitlines()]
-    assert [ln[0] for ln in lines] == ["HighResStem", "HighResBlock", "FFNBlock",
-                                       "ConvFFNBlock", "ConvFFNBlock"]
+    assert [ln[0] for ln in lines] == ["HighResStem", "HighResStem", "HighResBlock",
+                                       "HighResBlock", "FFNBlock", "ConvFFNBlock",
+                                       "ConvFFNBlock"]
     assert all(int(bands) > 1 and same == "True" for _, bands, same in lines), run.stdout
