@@ -18,9 +18,10 @@ the innermost module call. Conventions (fixed for this package):
   * ``activations`` -- one per output element of every non-free op, an
                  activation-memory proxy.
 
-The loop-instrumented :func:`mac_counting_oracle` executes a block with
-scalar kernels that increment a counter per multiply-accumulate; on any
-config it must agree exactly with the static ``macs`` column.
+The loop-instrumented :func:`mac_counting_oracle` executes a block's real
+kernels with a scalar product that counts every multiply-accumulate
+(``reference.CountingBackend``); on any config it must agree exactly with
+the static ``macs`` column.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def count_flops(model, resolution: int | None = None, batch: int = 1) -> CostRep
 
 
 def mac_counting_oracle(block: Module, input_shape, seed: int = 0) -> int:
-    """Execute ``block`` with scalar counting kernels; return exact MACs.
+    """Execute ``block`` with a scalar counting product; return exact MACs.
 
     Ground truth for ``count_flops``'s mac column on small shapes.
     """

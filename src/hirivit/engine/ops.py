@@ -68,12 +68,14 @@ Conventions
   depend on the key order. ``ordered_matmul`` computes each query row on its
   own, so a permutation of the query rows permutes its output rows bitwise;
   the query-key ``matmul`` is a plain BLAS call with no such guarantee.
-* Forward kernels for conv2d and matmul dispatch through a swappable
-  backend: the vectorized ``FastBackend`` or the MAC-counting loops of
-  ``reference.CountingBackend``. ``linear`` is the backend's ``matmul``
-  plus a bias, and ``ordered_matmul`` sends its per-row products through
-  the backend's ``matmul``. Each of these contractions passes its length
-  ``k`` to ``make_result`` for the engine's observer.
+* Every forward product calls a swappable backend's ``matmul``: NumPy's,
+  or the MAC-counting loops of ``reference.CountingBackend``
+  (``use_backend``). Only the product is swapped, so the conv's blocks,
+  row windows and 1x1 views run as they do on NumPy. The callers are the
+  conv's block GEMMs (those of the stride-1 input gradient too),
+  ``matmul``, ``linear`` (plus a bias) and ``ordered_matmul``'s per-row
+  products. Each of these contractions passes its length ``k`` to
+  ``make_result`` for the engine's observer.
 """
 
 from __future__ import annotations
@@ -140,17 +142,9 @@ HIRES_BAND_BYTES = 3 << 19
 # kernel backends
 # ---------------------------------------------------------------------------
 
-class FastBackend:
-    """Vectorized NumPy kernels (default)."""
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.matmul(a, b)
-
-    def conv2d(self, x, w, bias, stride, padding, groups, rows=None):
-        return _conv2d_fast(x, w, bias, stride, padding, groups, rows)
-
-
-_backend = FastBackend()
+# the product every forward kernel calls: NumPy's ``matmul``, or
+# ``reference.CountingBackend``'s loops
+_backend = np
 
 
 @contextlib.contextmanager
@@ -516,8 +510,8 @@ def _conv2d_fast(x, w, bias, stride, padding, groups, rows=None):
     coutg = None if kh == kw == 1 and stride == (1, 1) else cout // groups
     for g0, g1, r0, r1 in _blocks(win, coutg):
         # built inside the call, so one block's patch matrix is alive at a time
-        np.matmul(w2[g0:g1], _patches(win, g0, g1, r0, r1),
-                  out=out[:, g0:g1, :, r0 * ow:r1 * ow])
+        _backend.matmul(w2[g0:g1], _patches(win, g0, g1, r0, r1),
+                        out=out[:, g0:g1, :, r0 * ow:r1 * ow])
     out = out.reshape(n, cout, oh, ow)
     if bias is not None:
         out += bias.reshape(1, cout, 1, 1)
@@ -610,8 +604,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         _check_rows(rows, h, oh, kh, sh, ph, records_tape(parents))
 
     xd, wd, x_grad, has_bias = x.data, weight.data, x.requires_grad, bias is not None
-    data = _backend.conv2d(xd, wd, bias.data if has_bias else None, stride, padding, groups,
-                           rows)
+    data = _conv2d_fast(xd, wd, bias.data if has_bias else None, stride, padding, groups, rows)
 
     coutg = cout // groups
 

@@ -1,9 +1,10 @@
 """Scalar loop kernels: independent references for conv/matmul/linear.
 
-These run the arithmetic one multiply-accumulate at a time. Given a
-``counter``, the conv and matmul loops bump its ``macs`` attribute once per
-MAC. They double as correctness oracles for the vectorized kernels and as
-the instrumented executor behind the FLOP-count oracle. Only use them on
+These run the arithmetic one multiply-accumulate at a time. They are
+correctness oracles for the vectorized kernels. ``loop_matmul``, given a
+``counter``, bumps its ``macs`` attribute once per MAC; as the product of
+:class:`CountingBackend` it is the instrumented executor behind the
+FLOP-count oracle, under the engine's real conv kernel. Only use them on
 small shapes.
 """
 
@@ -50,11 +51,11 @@ def loop_linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarr
 
 
 def loop_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
-                stride, padding, groups: int, counter=None) -> np.ndarray:
+                stride, padding, groups: int) -> np.ndarray:
     """Direct cross-correlation with explicit nested loops.
 
-    Padding is materialized, so every kernel tap performs (and counts) a
-    real multiply, matching the dense-window cost convention.
+    Padding is materialized, so every kernel tap performs a real multiply,
+    matching the dense-window cost convention.
     """
     n, cin, h, wd = x.shape
     cout, cing, kh, kw = w.shape
@@ -77,8 +78,6 @@ def loop_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
                             for kx in range(kw):
                                 acc += xp[b, xc, oy * sh + ky, ox * sw + kx] \
                                     * w[co, ci, ky, kx]
-                                if counter is not None:
-                                    counter.macs += 1
                     if bias is not None:
                         acc += bias[co]
                     out[b, co, oy, ox] = acc
@@ -115,22 +114,20 @@ def loop_conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 
 
 class CountingBackend:
-    """Executes conv/matmul through the loop kernels; counts MACs in ``macs``.
+    """A product for ``ops.use_backend``: :func:`loop_matmul`, counting MACs
+    in ``macs``.
 
-    ``ops.linear`` and ``ops.ordered_matmul`` reach it through ``matmul``.
+    It replaces only the product. Every forward kernel still runs as it
+    does on NumPy, so the count is that of the conv's real im2col and row
+    blocks, zero-padded taps included, and of ``matmul``, ``linear`` and
+    ``ordered_matmul``.
     """
 
     def __init__(self):
         self.macs = 0
 
-    def matmul(self, a, b):
-        return loop_matmul(a, b, self)
-
-    def conv2d(self, x, w, bias, stride, padding, groups, rows=None):
-        if rows is not None:    # the rows the window reads, zero-padded at the map's edges
-            kh, sh, ph = w.shape[2], stride[0], padding[0]
-            top, bottom = rows.r0 * sh - ph, (rows.r1 - 1) * sh + kh - ph
-            x = x[:, :, max(top, 0) - rows.top:min(bottom, rows.height) - rows.top]
-            x = np.pad(x, ((0, 0), (0, 0), (max(-top, 0), max(bottom - rows.height, 0)), (0, 0)))
-            padding = (0, padding[1])
-        return loop_conv2d(x, w, bias, stride, padding, groups, self)
+    def matmul(self, a, b, out=None):
+        if out is None:
+            return loop_matmul(a, b, self)
+        out[...] = loop_matmul(a, b, self)
+        return out

@@ -8,8 +8,33 @@ from hirivit.analyzer import (block_macs, count_flops, count_params,
                               scaling_table, verify_reference_costs)
 from hirivit.blocks import (Attention, ClassifierHead, Conv2d, ConvFFNBlock,
                             DownsampleA, DownsampleB, HighResBlock, HighResStem,
-                            TransformerBlock)
+                            Module, TransformerBlock)
+from hirivit.engine import Tensor, loop_conv2d, loop_matmul, no_grad, ops, reference
+from hirivit.errors import ShapeError
 from hirivit.zoo import Model, build_model, hiri_config, hiri_micro_config
+
+
+def _spy_products(monkeypatch) -> list:
+    """The shapes of the operands of every product the counting loops run."""
+    calls = []
+
+    def spy(a, b, counter=None):
+        calls.append((a.shape, b.shape))
+        return loop_matmul(a, b, counter)
+
+    monkeypatch.setattr(reference, "loop_matmul", spy)
+    return calls
+
+
+class _ConvThenMismatch(Module):
+    """A conv whose output a second conv refuses: channels 4 against 3."""
+
+    def __init__(self):
+        super().__init__()
+        self.first, self.second = Conv2d(5, 4, 3), Conv2d(3, 4, 3)
+
+    def forward(self, x):
+        return self.second(self.first(x))
 
 
 class TestParamCounting:
@@ -88,6 +113,48 @@ class TestFlopCounting:
         static = count_flops(model, 64, batch=1).macs
         counted = mac_counting_oracle(model, (1, 3, 64, 64))
         assert static == counted
+
+    @pytest.mark.parametrize("make, shape, blocks", [
+        (lambda: Conv2d(4, 8, 3), (1, 4, 16, 16), 16),
+        (lambda: Conv2d(4, 8, 3, stride=2), (2, 4, 16, 16), 4),
+        (lambda: Conv2d(8, 8, 3, groups=8), (1, 8, 16, 16), 128),
+    ], ids=["dense", "strided", "depthwise"])
+    def test_oracle_counts_the_conv_kernels_blocks(self, make, shape, blocks, monkeypatch):
+        """The counting backend replaces only the product, so the oracle runs
+        the conv's own blocks of groups and output rows, one counted product
+        each, zero-padded on its own, and still counts every tap of the
+        padded conv."""
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1)
+        monkeypatch.setattr(ops, "CONV_PATCH_CAP", 1)
+        products = _spy_products(monkeypatch)
+        conv = make()
+        cout, cing, kh, kw = conv.weight.shape
+        stride, padding = ops._conv_settings(conv.stride, conv.padding, conv.groups)
+        win = ops._windows(np.zeros(shape), kh, kw, stride, padding, conv.groups)
+        assert len(list(ops._blocks(win, cout // conv.groups))) == blocks > 1
+        oh, ow = win.shape[-2:]
+        analytic = shape[0] * cout * oh * ow * cing * kh * kw
+        assert mac_counting_oracle(conv, shape) == block_macs(conv, shape) == analytic
+        assert len(products) == blocks
+
+    @pytest.mark.parametrize("make, products", [(lambda: Conv2d(3, 4, 3), 0),
+                                                (_ConvThenMismatch, 1)],
+                             ids=["first_op", "after_a_product"])
+    def test_oracle_restores_the_product_after_an_error(self, make, products, monkeypatch):
+        """A block that raises inside the oracle, before its first product or
+        after one, leaves NumPy's product in place: a later conv runs at full
+        speed, not in the counting loops."""
+        calls = _spy_products(monkeypatch)
+        with pytest.raises(ShapeError):
+            mac_counting_oracle(make(), (1, 5, 8, 8))
+        assert len(calls) == products
+        assert ops._backend is np
+        rng = np.random.default_rng(0)
+        x, w = rng.standard_normal((1, 3, 8, 8)), rng.standard_normal((4, 3, 3, 3))
+        with no_grad():
+            y = ops.conv2d(Tensor(x), Tensor(w), padding=1).data
+        assert len(calls) == products
+        assert np.abs(y - loop_conv2d(x, w, None, (1, 1), (1, 1), 1)).max() < 1e-12
 
     def test_attention_flops_quadratic_in_tokens(self):
         # QK^T + AV terms: fit log flops vs log n over n in {16, 64, 256}
