@@ -401,12 +401,8 @@ class HighResStem(Module):
         return _in_bands(self, x, (n, self.out_norm.gamma.shape[0], h // 4, w // 4))
 
     def _bounds(self, x):
-        """Output-row boundaries of the bands (:func:`_bands`): one pass unless
-        the output is a multiple of 16 columns wide, as every GEMM that makes
-        halo rows (``entry``, ``hi_dw`` and ``lo_down``) then is."""
+        """Output-row boundaries of the bands (:func:`_bands`)."""
         n, _, h, w = x.shape
-        if (w // 4) % 16:
-            return [0, h // 4]
         # the smallest GEMMs per output column: entry's four, or lo_project's
         macs = min(4 * self.entry.weight.size, self.lo_project.weight.size)
         return _bands(self, x, self.entry.weight, h // 4, w // 4,
@@ -563,7 +559,8 @@ class DownsampleB(Module):
     def forward(self, x):
         y = self.pre_pool(x)
         y = self.act1(self.norm1(self.expand(y)))
-        y = self.project(self.dw(y))
+        y = self.dw(y)          # the expanded map is not alive through project
+        y = self.project(y)
         s = self.sc_project(self.sc_pool(x))
         return ops.add(y, s, inplace=True)
 
@@ -625,14 +622,12 @@ class ConvFFNBlock(Module):
     ``ops.FFN_BAND_BYTES`` is never built whole: the chain runs over bands of
     whole rows (:func:`ops._row_bands`), each written into one output map,
     so an observer sees the chain's calls once per band. A band computes its
-    hidden rows and one cut unit of rows on each side of them (``16 //
-    gcd(W, 16)``, the step of :func:`ops._row_bands`), clipped to the map,
-    and its depth-wise conv computes only the band's rows from those
-    (``ops.Rows``). A whole unit keeps every GEMM of the band on a multiple
-    of 16 columns, where a single halo row would not. The residual is
-    written into the conv's output, and the hidden rows are dropped before
-    the projection. One pass is the band of the whole map, and every banded
-    output is bitwise that of one pass.
+    hidden rows and the row on each side of them that its depth-wise conv
+    reads, clipped to the map, and the conv computes only the band's rows
+    from those (``ops.Rows``). The residual is written into the conv's
+    output, and the hidden rows are dropped before the projection. One pass
+    is the band of the whole map, and every banded output is bitwise that
+    of one pass.
     """
 
     def __init__(self, channels, expansion, norm="bn"):
@@ -657,9 +652,8 @@ class ConvFFNBlock(Module):
     def _band(self, x, r0, r1):
         """Output rows ``[r0, r1)``: ``x + FC2(DW(z) + z)`` of them, ``z``
         computed with the halo rows that ``dw`` reads."""
-        h, w = x.shape[2:]
-        unit = 16 // math.gcd(w, 16)
-        t0, t1 = max(r0 - unit, 0), min(r1 + unit, h)
+        h = x.shape[2]
+        t0, t1 = max(r0 - 1, 0), min(r1 + 1, h)
         z = self.act(self.fc1(self.pre_norm(_rows(x, t0, t1))))
         y = ops.add(_rows(z, r0 - t0, r1 - t0), self.dw(z, rows=ops.Rows(r0, r1, t0, h)),
                     inplace=True)

@@ -25,11 +25,10 @@ Conventions
   convs scatter-add the column gradient one kernel tap at a time, each
   tap clipped to the input, into the C-contiguous input gradient. An
   input that does not require grad gets none. Blocks of groups change no
-  GEMM. A row block only cuts a GEMM's columns, at multiples of 16, and
-  stays on the GEMM path of the whole map (see ``_row_bounds``), so
-  outputs and gradients are bitwise equal to one-block runs (checked on
-  OpenBLAS 0.3.31's SkylakeX kernels), and results do not depend on
-  either block size.
+  GEMM. A row block only cuts a GEMM's columns, on the steps of
+  ``_row_bands``, and stays on the GEMM path of the whole map, so outputs
+  and gradients are bitwise equal to one-block runs (checked on OpenBLAS
+  0.3.31), and results do not depend on either block size.
 * One rule, :func:`_row_bands`, cuts a map into bands of whole rows, both the
   conv's row blocks and the bands in which no-tape eval-mode blocks run
   their whole chain, so that their large maps never exist whole: the
@@ -38,14 +37,12 @@ Conventions
   A band's 3x3 convs compute only its rows, from a slab of their input that
   holds the rows they read (a row window, :class:`Rows`), zero-padded only
   at the map's true edges. A window over the whole map is no window, so a
-  block's one pass is its band of the whole map, tape or not. Cuts fall on
-  multiples of 16 columns and keep every GEMM of a band on the whole map's
-  BLAS path, and a GEMM that makes a slab's halo rows either has rows of a
-  multiple of 16 columns (the stem's) or makes whole cut units of them
-  (``blocks.ConvFFNBlock``'s). A tape, an empty batch, a map whose
-  size is no multiple of 16, or a block in training mode gives one pass.
-  So bands change no bit, and the analyzer's empty-batch trace records what
-  one pass records.
+  block's one pass is its band of the whole map, tape or not. Each band's
+  GEMMs stay on the whole map's BLAS path, and cuts fall on multiples of
+  16 columns, where a column keeps the bits it gets in the whole map (see
+  :func:`_row_bands`), so bands change no bit. A tape, an empty batch or a
+  block in training mode gives one pass, so the analyzer's empty-batch
+  trace records what one pass records.
 * ``gelu`` runs SciPy's ``erf`` on ``|x / sqrt(2)|`` and restores the sign
   with ``copysign``. SciPy's ``erf`` computes ``erf(-t)`` as ``-erf(t)``, so
   the bits are those of ``erf(x / sqrt(2))``, but no element takes the
@@ -65,17 +62,22 @@ Conventions
   Every value is bitwise the one a new array would hold.
 * Reductions sum in the order their axis holds. ``blocks.Attention`` puts
   its keys in one canonical order (``take_rows``), so attention does not
-  depend on the key order. ``ordered_matmul`` computes each query row on its
-  own, so a permutation of the query rows permutes its output rows bitwise;
-  the query-key ``matmul`` is a plain BLAS call with no such guarantee.
-* Every forward product calls a swappable backend's ``matmul``: NumPy's,
-  or the MAC-counting loops of ``reference.CountingBackend``
-  (``use_backend``). Only the product is swapped, so the conv's blocks,
-  row windows and 1x1 views run as they do on NumPy. The callers are the
-  conv's block GEMMs (those of the stride-1 input gradient too),
-  ``matmul``, ``linear`` (plus a bias) and ``ordered_matmul``'s per-row
-  products. Each of these contractions passes its length ``k`` to
-  ``make_result`` for the engine's observer.
+  depend on the key order. Every BLAS product is the canonical one
+  (:class:`_Canonical`), whose BLAS calls cover whole tiles of columns and
+  aligned contractions, so its bits depend neither on the BLAS thread
+  count nor on where a row sits, and a permutation of the query rows
+  permutes both attention products' rows bitwise.
+* Every BLAS call goes through a swappable backend's ``matmul``: the
+  canonical product, or the MAC-counting loops of
+  ``reference.CountingBackend`` (``use_backend``), which do not pad. Only
+  the product is swapped, so the conv's blocks, row windows and 1x1 views
+  run as they do by default. The forward callers are the conv's block
+  GEMMs (those of the stride-1 input gradient too), ``matmul``, ``linear``
+  (plus a bias) and ``ordered_matmul``; each passes its contraction length
+  ``k`` to ``make_result`` for the engine's observer. The backward products
+  of ``matmul``, ``linear`` and the conv call it too. Adaptive pooling's
+  averaging products call the canonical product itself, since they are no
+  contraction of the FLOP convention.
 """
 
 from __future__ import annotations
@@ -142,9 +144,72 @@ HIRES_BAND_BYTES = 3 << 19
 # kernel backends
 # ---------------------------------------------------------------------------
 
-# the product every forward kernel calls: NumPy's ``matmul``, or
+class _Canonical:
+    """The default product: ``np.matmul`` in aligned pieces, so that an
+    entry's bits depend neither on the BLAS thread count nor on where its
+    row sits in the product.
+
+    OpenBLAS sums an entry of an edge micro-tile, or of a contraction split
+    into K-panels, in another order than an entry of a whole tile or panel,
+    and which entries fall on an edge depends on the shape and on how the
+    product is split over threads (Goto and van de Geijn, "Anatomy of
+    High-Performance Matrix Multiplication", TOMS 2008). The tiles run
+    along the columns, so every BLAS call covers a multiple of 16 of them
+    (:func:`_aligned_columns`). A contraction longer than 384 is summed as
+    its first multiple of 32 plus the rest: at 2 threads against 1, every
+    probed length in (384, 2192] that is no multiple of 32 gave other bits,
+    and every multiple of 32 the same. Rows need no such care: padding them
+    to a multiple of 16 as well changed no bit of a sampled product unless
+    it moved the product onto another OpenBLAS kernel. A single row (a
+    depth-wise group's matrix-vector product, a batch-1 head), a
+    contraction of length 1 (one multiply an entry, no sum to order) and an
+    empty product pass through as one ``np.matmul``.
+    """
+
+    @staticmethod
+    def matmul(a, b, out=None):
+        m, k = a.shape[-2:]
+        if m == 1 or k == 1 or not (a.size and b.size):
+            return np.matmul(a, b, out=out)
+        k1 = k if k <= 384 else k - k % 32
+        out = _aligned_columns(a[..., :k1], b[..., :k1, :], out)
+        if k1 < k:
+            # the rest, added in blocks of rows of one shape (the last
+            # zero-padded), so that a row's bits do not depend on its block
+            # and no more than a block of the result is held twice
+            step = min(m, 256)
+            for r0 in range(0, m, step):
+                rows = np.zeros(a.shape[:-2] + (step, k - k1))
+                rows[..., :m - r0, :] = a[..., r0:r0 + step, k1:]
+                out[..., r0:r0 + step, :] += _aligned_columns(rows, b[..., k1:, :])[..., :m - r0, :]
+        return out
+
+
+def _aligned_columns(a, b, out=None):
+    """``a @ b`` as one product of its last 16 columns and one of its columns
+    up to the last multiple of 16, both written in place, the second over
+    the first, so only the last ``n % 16`` columns keep the first's values;
+    no operand is copied. Fewer than 16 columns are zero-padded to 16. Each
+    product spans whole tiles, so a column's bits are set by its offset
+    from the first column, or, among the last ``n % 16``, from the last,
+    whatever the thread count."""
+    n = b.shape[-1]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], n))
+    if n >= 16:
+        if n % 16:
+            np.matmul(a, b[..., n - 16:], out=out[..., n - 16:])
+        np.matmul(a, b[..., :n - n % 16], out=out[..., :n - n % 16])
+    else:
+        tail = np.zeros(b.shape[:-1] + (16,))
+        tail[..., :n] = b
+        out[...] = np.matmul(a, tail)[..., :n]
+    return out
+
+
+# the product every BLAS call of this module makes: the canonical one, or
 # ``reference.CountingBackend``'s loops
-_backend = np
+_backend = _Canonical
 
 
 @contextlib.contextmanager
@@ -278,16 +343,17 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # dense linear algebra
 # ---------------------------------------------------------------------------
 
-def _matmul_result(data, a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Tape node for ``data = a @ b``, however the product was summed."""
+def _product(a: Tensor, b: Tensor, op: str) -> Tensor:
+    """``a @ b``, recorded as ``op``."""
+    _check_inner(a, b)
     ad, bd = a.data, b.data
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        ga = _backend.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = _backend.matmul(np.swapaxes(ad, -1, -2), g)
         return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
-    return make_result(data, (a, b), op, bw, a.shape[-1])
+    return make_result(_backend.matmul(ad, bd), (a, b), op, bw, a.shape[-1])
 
 
 def _check_inner(a: Tensor, b: Tensor):
@@ -308,19 +374,16 @@ def _check_inner(a: Tensor, b: Tensor):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_inner(a, b)
-    return _matmul_result(_backend.matmul(a.data, b.data), a, b, "matmul")
+    return _product(a, b, "matmul")
 
 
 def ordered_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul whose output rows are each their own ``(1, k) @ (k, p)``
-    product, so a permutation of the rows of ``a`` permutes the output rows
-    bitwise. Used for the attention x values product. A single GEMM would
-    not do: the result for a row can depend on the row's position in it.
+    """The attention x values product: :func:`matmul` under its own op name,
+    which the cost records (``av``) and the benchmark key on. Like every
+    product, a permutation of the rows of ``a`` permutes its output rows
+    bitwise (see :class:`_Canonical`).
     """
-    _check_inner(a, b)
-    data = _backend.matmul(a.data[..., :, None, :], b.data[..., None, :, :])[..., 0, :]
-    return _matmul_result(data, a, b, "ordered_matmul")
+    return _product(a, b, "ordered_matmul")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -339,8 +402,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, dout)
-        gx = (g2 @ w).reshape(sx)
-        gw = g2.T @ x2
+        gx = _backend.matmul(g2, w).reshape(sx)
+        gw = _backend.matmul(g2.T, x2)
         if not has_bias:
             return (gx, gw)
         return (gx, gw, g2.sum(axis=0))
@@ -402,25 +465,36 @@ def _row_bands(rows, cols, row_bytes, cap, col_macs=0, tape=False):
     """Boundaries ``[0, ..., rows]`` of bands of whole rows of a ``rows x cols``
     map, ``row_bytes`` a row, for a no-tape chain whose GEMMs cut only columns.
 
-    One band under a tape, for an empty batch (no bytes), when the map fits
-    ``cap``, or when ``rows * cols`` is no multiple of 16. Otherwise the fewest
-    bands that fit, as even as steps of ``unit`` rows allow; a step is a
-    multiple of 16 columns, so each column meets the same BLAS kernel tiles as
-    in one GEMM of the whole map. Each band also stays on the whole map's
-    GEMM path: OpenBLAS runs GEMMs of at most 100**3 MACs on a small-matrix
-    kernel, which sums a long contraction in another order. ``col_macs`` is
-    the MACs of one column of the band's smallest GEMM; 0 when it has none
-    (a matrix-vector product has one path).
+    One band under a tape, for an empty batch (no bytes), or when the map
+    fits ``cap``. Otherwise the fewest bands that fit, as even as steps of
+    ``unit`` rows allow, the last band ending at the map's last row. A step
+    is a multiple of 16 columns, so a column keeps its offset from the
+    band's first column, or, in the last band, from its last, which set its
+    bits in the canonical product (:func:`_aligned_columns`), and every
+    band but the last is one BLAS call. A depth-wise conv's matrix-vector
+    products, which pass through unpadded, likewise sum their last
+    ``L mod 4`` columns in another order, and a band ending on a step has
+    no such tail. Cuts at any row changed the banded outputs of 56-column
+    feed-forward blocks, whose 16-column tails ran on OpenBLAS's
+    small-matrix kernel, and the logits of ladder row 4 at 64x64. Each band
+    also stays on the whole map's GEMM path: OpenBLAS runs GEMMs of at most
+    100**3 MACs on a small-matrix kernel, which sums a contraction of 512
+    or more in another order even on aligned shapes
+    (``(64, 768) @ (768, 16)`` differs from the same columns of a
+    3136-column product, at 1 and at 2 threads). ``col_macs`` is the MACs
+    of one column of the band's smallest GEMM; 0 when it has none (a
+    matrix-vector product has one path).
     """
-    if tape or rows * row_bytes <= cap or (rows * cols) % 16:
+    if tape or rows * row_bytes <= cap:
         return [0, rows]
-    unit = 16 // math.gcd(cols, 16)         # divides rows, as 16 divides rows * cols
-    units = rows // unit
+    unit = 16 // math.gcd(cols, 16)
+    units, whole = -(-rows // unit), rows // unit      # the last unit may be short
     bands = -(-units // max(1, cap // (unit * row_bytes)))
     unit_macs = col_macs * cols * unit
     if col_macs and units * unit_macs > 100**3:
-        bands = min(bands, units // (100**3 // unit_macs + 1))
-    return [unit * (units * i // bands) for i in range(bands + 1)]
+        # every band, the last without its short unit, above the floor
+        bands = max(1, min(bands, whole // (100**3 // unit_macs + 1)))
+    return [unit * (units * i // bands) for i in range(bands)] + [rows]
 
 
 def _row_bounds(win, groups_per_block, coutg):
@@ -624,9 +698,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gx = np.zeros((n, cin, h, w_in), dtype=g.dtype)
             row_taps, col_taps = _taps(kh, sh, ph, oh, h), _taps(kw, sw, pw, ow, w_in)
         for g0, g1, cols in _group_blocks(win):
-            np.matmul(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
+            _backend.matmul(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
             if scatter:
-                gcols = np.matmul(w2t[g0:g1], g4[:, g0:g1])  # (N, gb, cing*kh*kw, L)
+                gcols = _backend.matmul(w2t[g0:g1], g4[:, g0:g1])  # (N, gb, cing*kh*kw, L)
                 gcols = gcols.reshape(n, (g1 - g0) * cing, kh, kw, oh, ow)
                 gxb = gx[:, g0 * cing:g1 * cing]
                 for i, oi, xi in row_taps:
@@ -878,10 +952,13 @@ def adaptive_avg_pool2d(x: Tensor, out_hw) -> Tensor:
                            lambda g: (np.zeros((n, c, h, w), g.dtype),))
     rm = _pool_matrix(h, oh, x.dtype)
     cm = _pool_matrix(w, ow, x.dtype)
-    data = rm @ x.data @ cm.T
+    # averages, not a contraction of the FLOP convention: the canonical
+    # product itself, which the MAC oracle's backend does not count
+    mm = _Canonical.matmul
+    data = mm(mm(rm, x.data), cm.T)
 
     def bw(g):
-        return (rm.T @ g @ cm,)
+        return (mm(mm(rm.T, g), cm),)
 
     return make_result(data, (x,), "adaptive_avg_pool2d", bw)
 

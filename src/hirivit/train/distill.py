@@ -58,9 +58,9 @@ def distill_target(teacher, xa: np.ndarray, xb: np.ndarray,
     ``xb`` holds the images of sample b, or integer indices of the rows of
     ``xa`` that form them (a batch paired with its own permutation). Given
     indices, the teacher runs once and its map for ``xa`` is indexed. The
-    eval-mode teacher treats each sample on its own, so this is the map of
-    the permuted batch up to the rounding of a BLAS product whose result
-    for a row can depend on the row's position.
+    eval-mode teacher treats each sample on its own, and every product
+    gives a sample's entries the same bits wherever the sample sits in the
+    batch (``ops._Canonical``), so this is the map of the permuted batch.
 
     With no mask (Mixup), the maps blend by ``lam`` instead. ``alpha = 1``
     returns the mixed label unchanged.

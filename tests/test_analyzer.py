@@ -142,13 +142,13 @@ class TestFlopCounting:
                              ids=["first_op", "after_a_product"])
     def test_oracle_restores_the_product_after_an_error(self, make, products, monkeypatch):
         """A block that raises inside the oracle, before its first product or
-        after one, leaves NumPy's product in place: a later conv runs at full
-        speed, not in the counting loops."""
+        after one, leaves the default product in place: a later conv runs at
+        full speed, not in the counting loops."""
         calls = _spy_products(monkeypatch)
         with pytest.raises(ShapeError):
             mac_counting_oracle(make(), (1, 5, 8, 8))
         assert len(calls) == products
-        assert ops._backend is np
+        assert ops._backend is ops._Canonical
         rng = np.random.default_rng(0)
         x, w = rng.standard_normal((1, 3, 8, 8)), rng.standard_normal((4, 3, 3, 3))
         with no_grad():

@@ -326,12 +326,13 @@ def test_row_blocked_conv2d_matches_one_block_and_loops(name, units_per_block, m
         assert got.shape == ref.shape and np.abs(got - ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("hw, blocks", [(58, 7), (16, 1)])
+@pytest.mark.parametrize("hw, blocks", [(58, 7), (16, 2)])
 def test_row_blocks_keep_the_gemm_path_of_the_whole_map(hw, blocks, monkeypatch):
     # 56x56 outputs, K = 576: one GEMM of 4 x 576 x 3136 MACs. A 2-row block
     # (112 columns, 258k MACs) would fall to the BLAS small-matrix kernel and
     # sum in another order; 8-row blocks stay above 100**3 MACs. A 14x14 map
-    # (196 columns, no multiple of 16) is never split.
+    # (196 columns, below the floor as a whole) splits at row 8, a 16-column
+    # step, and its ragged last block gets the whole map's bits.
     rng = np.random.default_rng(23)
     x, w = rng.standard_normal((1, 64, hw, hw)), rng.standard_normal((4, 64, 3, 3))
     monkeypatch.setattr(ops, "CONV_PATCH_CAP", 1 << 62)

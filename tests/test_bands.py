@@ -11,14 +11,9 @@ fall: below one hidden map of a ladder build, below four stage-1 maps of
 HiRI-ViT-S@448.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import hirivit
 from hirivit import blocks
 from hirivit.analyzer import count_flops
 from hirivit.engine import Tensor, no_grad, observe, ops
@@ -94,7 +89,7 @@ STEM_SHAPES = {
     "w16_one_row_bands": (1, 16, 0, 64, 64, 1, 16),
     "w32_batch3": (3, 16, 0, 64, 128, 3, 6),
     "w16_two_bands": (1, 32, 0, 128, 64, 16, 2),
-    "w56_stays_one_pass": (1, 16, 0, 224, 224, 1, 1),   # lo_down's rows: 56 columns
+    "w56_s224": (1, 32, 0, 224, 224, 14, 4),            # 56 columns: 2-row units
 }
 HIRES_SHAPES = {
     "w32_one_unit_bands": (1, 16, 4, 32, 32, 1, 16),
@@ -227,18 +222,23 @@ def test_train_mode_forward_is_one_pass(kind, monkeypatch):
     (32, 14, 500, 600, 0),
     (16, 16, 10, 11, 0),
     (112, 112, 7000, 1 << 20, 65536),
+    (14, 14, 1000, 5_000, 0),           # 196 columns: a ragged last band
+    (62, 14, 1000, 16_000, 1024),
+    (62, 14, 1000, 8_000, 4096),        # ragged, and held above the floor
+    (7, 7, 1000, 10, 0),                # less than one unit of rows
 ])
 def test_row_bands_cover_the_map_on_16_column_cuts(rows, cols, row_bytes, cap, col_macs):
     bounds = ops._row_bands(rows, cols, row_bytes, cap, col_macs)
     assert bounds[0] == 0 and bounds[-1] == rows
     sizes = np.diff(bounds)
     assert (sizes > 0).all()
-    assert all(r * cols % 16 == 0 for r in bounds)
+    assert all(r * cols % 16 == 0 for r in bounds[:-1])
     unit = 16 // np.gcd(cols, 16)
+    units = -(-rows // unit)    # the last one may be short
     if col_macs and rows * cols * col_macs > 100**3:
         assert all(s * cols * col_macs > 100**3 for s in sizes)
     else:                       # the fewest bands that fit, where a unit fits
-        assert len(bounds) - 1 == -(-(rows // unit) // max(1, cap // (unit * row_bytes)))
+        assert len(bounds) - 1 == -(-units // max(1, cap // (unit * row_bytes)))
         if unit * row_bytes <= cap:
             assert all(s * row_bytes <= cap for s in sizes)
 
@@ -247,7 +247,6 @@ def test_row_bands_cover_the_map_on_16_column_cuts(rows, cols, row_bytes, cap, c
     (56, 56, 1000, True),       # a tape
     (56, 56, 0, False),         # an empty batch
     (56, 56, 10, False),        # a map under the bound
-    (14, 14, 1000, False),      # 196 positions: no multiple of 16
 ])
 def test_row_bands_one_pass(rows, cols, row_bytes, tape):
     assert ops._row_bands(rows, cols, row_bytes, 5_000, 0, tape=tape) == [0, rows]
@@ -299,10 +298,11 @@ def test_ladder_row4_eval_peak_is_under_one_hidden_map(peak_bytes):
 
 
 def test_ladder_row4_eval_peak_holds_no_band_of_lookahead(peak_bytes):
-    """A ConvFFNBlock band holds its hidden rows with one cut unit of halo
-    rows on each side and its depth-wise conv's output, and drops the hidden
-    rows before the projection. With a band of lookahead alive as well, the
-    peak was 14.97 MB (2**20 bytes); without it, 11.74 MB."""
+    """A ConvFFNBlock band holds its hidden rows with one halo row on each
+    side and its depth-wise conv's output, and drops the hidden rows before
+    the projection. With a band of lookahead alive as well, the peak was
+    14.97 MB (2**20 bytes); without it, 11.74 MB with a halo of one cut unit
+    (two rows) and 11.19 MB with one row."""
     assert _eval_peak(4, peak_bytes) < 12.04 * 2**20
 
 
@@ -321,8 +321,8 @@ def test_s448_eval_peak_is_under_four_stage1_maps(peak_bytes):
 # each banded block at a size where OpenBLAS runs its GEMMs on two threads, at
 # a bound of 1 byte; HiRI-ViT-S@448's stem and stage-1 block at the shipped
 # bound, the bands that model runs; and its stage-3 block at the shipped bound:
-# two bands of 4-row units, where a halo of one row instead of one unit breaks
-# bits at either thread count
+# two bands of 4-row units, each with a halo of one row, whose hidden GEMMs
+# span no whole number of 16-column tiles
 _BITS_SCRIPT = """
 import numpy as np
 from hirivit import blocks
@@ -351,16 +351,8 @@ for block, shape, cap in cases:
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_bands_are_bitwise_one_pass_at_one_and_two_blas_threads(threads):
-    """OpenBLAS picks its thread count when it loads, so each count runs in a
-    process of its own."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hirivit.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", _BITS_SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    lines = [ln.split() for ln in run.stdout.splitlines()]
+def test_bands_are_bitwise_one_pass_at_one_and_two_blas_threads(threads, run_script):
+    lines = [ln.split() for ln in run_script(_BITS_SCRIPT, threads, timeout=120).splitlines()]
     assert [ln[0] for ln in lines] == ["HighResStem", "HighResStem", "HighResBlock",
                                        "HighResBlock", "FFNBlock", "ConvFFNBlock",
                                        "ConvFFNBlock"]

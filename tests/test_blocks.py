@@ -209,15 +209,23 @@ class TestAttention:
         assert captured
         np.testing.assert_allclose(captured[0].sum(axis=-1), 1.0, atol=1e-12)
 
+    # (dim, heads, token layout): a small layer, and HiRI-ViT-S's and the
+    # ladder's stage-4 attention over 14x14 tokens, 64-wide heads, whose
+    # query-key products give a row bits that depend on its position unless
+    # every BLAS call covers whole 16-column tiles (ops._Canonical)
+    PERMUTED = [(16, 4, (3, 4)), (320, 5, (14, 14)), (512, 8, (14, 14))]
+
     def test_permutation_equivariance_bitwise(self):
-        attn = Attention(16, 4, 1)
-        randomize(attn, seed=15)
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal((1, 12, 16))
-        perm = rng.permutation(12)
-        out = attn.forward_tokens(t(x), (3, 4)).data
-        out_perm = attn.forward_tokens(t(x[:, perm]), (3, 4)).data
-        assert (out[:, perm] == out_perm).all()
+        for dim, heads, (h, w) in self.PERMUTED:
+            attn = Attention(dim, heads, 1)
+            randomize(attn, seed=15)
+            rng = np.random.default_rng(15)
+            x = rng.standard_normal((1, h * w, dim))
+            out = attn.forward_tokens(t(x), (h, w)).data
+            for _ in range(5):
+                perm = rng.permutation(h * w)
+                out_perm = attn.forward_tokens(t(x[:, perm]), (h, w)).data
+                assert (out[:, perm] == out_perm).all(), (dim, heads)
 
     def test_batch_permutation_equivariance_with_duplicate_tokens_bitwise(self):
         attn = Attention(16, 4, 1)

@@ -2,7 +2,8 @@
 
 ``ops._patches`` zero-pads only the block it builds. The oracle here is the
 earlier builder: zero-pad the whole input, view its windows with
-``as_strided`` and copy a block out of that view. Patch matrices, outputs and
+``as_strided`` and copy a block out of that view, multiplied with the
+engine's default product (``ops._Canonical``). Patch matrices, outputs and
 all three gradients must be bitwise those of the oracle, and within 1e-12 of
 the loop kernels.
 """
@@ -58,8 +59,8 @@ def _padded_forward(x, w, bias, stride, padding, groups):
     out = np.empty((n, groups, cout // groups, oh * ow), dtype=np.result_type(x, w))
     coutg = None if kh == kw == 1 and stride == (1, 1) else cout // groups
     for g0, g1, r0, r1 in ops._blocks(win, coutg):
-        np.matmul(w2[g0:g1], _padded_patches(win, g0, g1, r0, r1),
-                  out=out[:, g0:g1, :, r0 * ow:r1 * ow])
+        ops._Canonical.matmul(w2[g0:g1], _padded_patches(win, g0, g1, r0, r1),
+                              out=out[:, g0:g1, :, r0 * ow:r1 * ow])
     out = out.reshape(n, cout, oh, ow)
     if bias is not None:
         out += bias.reshape(1, cout, 1, 1)
@@ -73,7 +74,7 @@ def _padded_backward(x, w, g, stride, padding, groups):
     n, cin, h, wd = x.shape
     cout, cing, kh, kw = w.shape
     (sh, sw), (ph, pw) = stride, padding
-    coutg = cout // groups
+    coutg, mm = cout // groups, ops._Canonical.matmul
     win = _padded_windows(x, kh, kw, stride, padding, groups)
     oh, ow = win.shape[-2:]
     g4 = g.reshape(n, groups, coutg, oh * ow)
@@ -84,9 +85,9 @@ def _padded_backward(x, w, g, stride, padding, groups):
         gxp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw), dtype=g.dtype)
     for g0, g1, _, _ in ops._blocks(win):
         cols = _padded_patches(win, g0, g1, 0, oh)
-        np.matmul(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
+        mm(g4[:, g0:g1], np.swapaxes(cols, -1, -2)).sum(axis=0, out=gw[g0:g1])
         if strided:
-            gcols = np.matmul(w2t[g0:g1], g4[:, g0:g1])
+            gcols = mm(w2t[g0:g1], g4[:, g0:g1])
             gcols = gcols.reshape(n, (g1 - g0) * cing, kh, kw, oh, ow)
             gxb = gxp[:, g0 * cing:g1 * cing]
             for i in range(kh):

@@ -1,7 +1,8 @@
-"""The attention core: ``ordered_matmul``'s equivalence to the value-sorted
-kernel and the loop oracle and its bitwise equivariance under permutations of
-the queries, and the core's bitwise invariance under permutations of the keys
-once ``blocks._key_order`` has put them in order."""
+"""The attention core: ``ordered_matmul``, one canonical product
+(``ops._Canonical``), against the value-sorted kernel and the loop oracle,
+and its bitwise equivariance under permutations of the queries; and the
+core's bitwise invariance under permutations of the keys once
+``blocks._key_order`` has put them in order."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hirivit.engine.reference import loop_matmul
 # their batch, heads, queries, keys and head width: the five that S@448 and
 # ladder row 1@224 pass to ordered_matmul, a contraction over 64 keys (an 8x8 K/V grid), the
 # micro model's stage-4 attention at batch 16, and its stage-5 head width of
-# 10, at which one GEMM over all rows gives a row a result that depends on
-# the row's position
+# 10, at which a GEMM over a partial 16-column tile gives a row a result that
+# depends on the row's position
 SHAPES = [
     ((1, 8, 49, 49), (1, 8, 49, 64)),
     ((1, 2, 784, 49), (1, 2, 49, 64)),

@@ -153,6 +153,27 @@ class TestMatmul:
         y = ops.ordered_matmul(t(a), t(b))
         assert np.abs(y.data - a @ b).max() < 1e-12
 
+    # operands that take each piece of the canonical product: fewer than 16
+    # columns, a ragged last tile, a long contraction whose rest is added in
+    # blocks of 256 rows (the last one short), and broadcast batch axes
+    @pytest.mark.parametrize("sa, sb", [
+        ((40, 30), (30, 7)),
+        ((3, 50, 64), (3, 64, 196)),
+        ((600, 784), (784, 64)),
+        ((2, 1, 300, 500), (1, 4, 500, 20)),
+    ])
+    def test_canonical_product_matches_and_permutes_rows(self, sa, sb):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        y = ops._Canonical.matmul(a, b)
+        assert y.shape == np.matmul(a, b).shape and y.flags.c_contiguous
+        assert np.abs(y - np.matmul(a, b)).max() < 1e-10
+        perm = rng.permutation(sa[-2])
+        assert np.array_equal(ops._Canonical.matmul(a[..., perm, :], b), y[..., perm, :])
+        out = np.full(y.shape[:-1] + (y.shape[-1] + 5,), np.nan)
+        ops._Canonical.matmul(a, b, out=out[..., 5:])         # a strided window
+        assert out[..., 5:].tobytes() == y.tobytes() and np.isnan(out[..., :5]).all()
+
     def test_inner_mismatch(self):
         with pytest.raises(ShapeError):
             ops.matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
